@@ -29,7 +29,6 @@ from .dimension import (
     DimensionResult,
     EmptyReducedSystemError,
     GraphDirectedSystem,
-    NonConvergenceError,
     Partition,
     PartitionInvariantError,
     Vertex,
@@ -60,57 +59,3 @@ from .system import (
 from .verify import CheckResult, HarnessResult, dichotomy_sweep, run_theorem_harness
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineMap",
-    "Cardinality",
-    "CheckResult",
-    "Condition",
-    "CoverViolationError",
-    "DegenerateHullError",
-    "DimensionResult",
-    "EmptyReducedSystemError",
-    "EndCase",
-    "GraphDirectedSystem",
-    "HarnessResult",
-    "Ifs",
-    "Interval",
-    "NonConvergenceError",
-    "OverlapIdentityError",
-    "OverlapSpec",
-    "Partition",
-    "PartitionInvariantError",
-    "PointNotInAttractorError",
-    "ResidualGraph",
-    "SearchCapExceeded",
-    "SymbolicPoint",
-    "UnreachableTargetError",
-    "ValidationReport",
-    "Vertex",
-    "Violation",
-    "WitnessRequest",
-    "WitnessVerificationError",
-    "admissible_digits",
-    "build_graph",
-    "build_partition",
-    "build_residual_graph",
-    "classify_cardinality",
-    "classify_point",
-    "convex_hull",
-    "dichotomy_sweep",
-    "end_case",
-    "enumerate_codings",
-    "evaluate",
-    "format_rational",
-    "make_witness",
-    "overlap_parameters",
-    "parse_rational",
-    "reduced_system",
-    "run_theorem_harness",
-    "solve_dimension",
-    "spectral_radius",
-    "strongly_connected",
-    "symbolic_point",
-    "to_dot",
-    "validate",
-]

@@ -15,6 +15,8 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .codings import (
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_MAX_NODES,
     Cardinality,
     PointNotInAttractorError,
     SymbolicPoint,
@@ -25,7 +27,8 @@ from .codings import (
     enumerate_codings,
     make_witness,
 )
-from .dimension import build_graph, build_partition, reduced_system, solve_dimension, to_dot
+from .dimension import DEFAULT_TOL, build_graph, build_partition, reduced_system
+from .dimension import solve_dimension, to_dot
 from .exact import AffineMap, format_rational, parse_rational
 from .system import Ifs, ValidationReport, end_case, validate
 from .verify import run_theorem_harness
@@ -442,27 +445,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="solve the spectral dimension equation")
     add_common(p)
     p.add_argument("--set", choices=["E", "U1"], default="E", help="full or reduced system")
-    p.add_argument("--tol", type=float, default=1e-9, help="bracket width tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="bracket width tolerance")
     p.add_argument("--dot", help="write the solved system's digraph to this path")
 
     p = sub.add_parser("classify", help="count the codings of an eventually periodic point")
     add_common(p)
     p.add_argument("--point", required=True, help="point as w=<digits>;p=<digits>")
-    p.add_argument("--max-nodes", type=int, default=4096)
-    p.add_argument("--max-depth", type=int, default=512)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
 
     p = sub.add_parser("witness", help="construct a point with a prescribed coding count")
     add_common(p)
     p.add_argument("--target", required=True, help="finite:<k>, aleph0 or continuum")
-    p.add_argument("--max-nodes", type=int, default=4096)
-    p.add_argument("--max-depth", type=int, default=512)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
 
     p = sub.add_parser("verify", help="run one of the three verification harnesses")
     add_common(p)
     p.add_argument("--theorem", type=int, choices=[1, 2, 3], required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-nodes", type=int, default=4096)
-    p.add_argument("--max-depth", type=int, default=512)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
 
     return parser
 

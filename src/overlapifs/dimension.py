@@ -12,21 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .exact import AffineMap, Interval, format_rational
+from .exact import Interval, format_rational
 from .scc import strongly_connected_components
 from .system import Ifs, ValidationReport
 
 __all__ = [
     "CoverViolationError",
+    "DEFAULT_TOL",
     "DimensionResult",
     "EmptyReducedSystemError",
     "GraphDirectedSystem",
-    "NonConvergenceError",
     "Partition",
     "PartitionInvariantError",
     "Vertex",
@@ -39,7 +38,9 @@ __all__ = [
     "to_dot",
 ]
 
-POWER_ITERATION_CAP = 10**6
+DEFAULT_TOL = 1e-12
+# Digits of r**s kept beyond the tolerance, and added when a test is undecided.
+GUARD_DIGITS = 15
 
 
 class PartitionInvariantError(RuntimeError):
@@ -52,10 +53,6 @@ class CoverViolationError(RuntimeError):
 
 class EmptyReducedSystemError(ValueError):
     """Removing the switch cells deleted every vertex."""
-
-
-class NonConvergenceError(RuntimeError):
-    """An iterative solve ran past its cap without converging."""
 
 
 @dataclass(frozen=True)
@@ -239,68 +236,75 @@ def strongly_connected(gds: GraphDirectedSystem) -> bool:
     return len(strongly_connected_components(range(n), successors)) == 1
 
 
-def _power_block(block: np.ndarray, tol: float) -> float:
-    """Perron value of an irreducible nonnegative block by power iteration.
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
-    Iterates on block + I so bare cycles (periodic supports) cannot make the
-    Rayleigh quotient oscillate; the shift adds exactly one to the Perron
-    value and is subtracted back.
+
+def _below(matrix: Sequence[Sequence[int]], bound: int) -> bool:
+    """Exactly whether rho(matrix) < bound, for a nonnegative integer matrix.
+
+    bound*I - matrix is a Z-matrix, and a Z-matrix is a nonsingular
+    M-matrix (which here means rho(matrix) < bound) exactly when every
+    leading principal minor is positive. Fraction-free (Bareiss) elimination
+    yields those minors as its successive pivots.
     """
-    n = block.shape[0]
-    x = np.ones(n) / math.sqrt(n)
-    previous = math.inf
-    for _ in range(POWER_ITERATION_CAP):
-        y = block @ x + x
-        rayleigh = float(x @ y)
-        if abs(rayleigh - previous) < tol / 10:
-            return rayleigh - 1.0
-        previous = rayleigh
-        norm = float(np.linalg.norm(y))
-        x = y / norm
-    raise NonConvergenceError(
-        f"power iteration did not converge within {POWER_ITERATION_CAP} steps"
-    )
+    n = len(matrix)
+    a = [[(bound if p == q else 0) - x for q, x in enumerate(row)] for p, row in enumerate(matrix)]
+    previous = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return False
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            factor = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // previous
+        previous = pivot
+    return True
 
 
 def spectral_radius(matrix, tol: float = 1e-9) -> float:
-    """Spectral radius of a nonnegative square matrix.
+    """Spectral radius of a nonnegative square matrix, from below within tol.
 
-    Irreducible support converges directly; reducible matrices take the
-    maximum over the diagonal blocks given by the strongly connected
-    components of the support graph.
+    Entries are taken as exact rationals. Bisection on c over the exact test
+    rho < c (see ``_below``) starts from [0, 2**k] with 2**k above every row
+    sum; the result is the lower end of a bracket of width at most ``tol``,
+    so integer radii come out exactly.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    if (a < 0).any():
+    _check_tol(tol)
+    entries = [[Fraction(x) for x in row] for row in matrix]
+    n = len(entries)
+    if any(len(row) != n for row in entries):
+        raise ValueError(f"need a square matrix, got row lengths {[len(row) for row in entries]}")
+    if any(x < 0 for row in entries for x in row):
         raise ValueError("matrix must be nonnegative")
-    n = a.shape[0]
     if n == 0:
         return 0.0
-
-    def successors(i: int) -> list[int]:
-        return [j for j in range(n) if a[i, j] > 0]
-
-    best = 0.0
-    for component in strongly_connected_components(range(n), successors):
-        if len(component) == 1:
-            i = component[0]
-            if a[i, i] == 0:
-                continue
-        idx = np.array(sorted(component))
-        best = max(best, _power_block(a[np.ix_(idx, idx)], tol))
-    return best
+    den = math.lcm(*(x.denominator for row in entries for x in row))
+    scaled = [[int(x * den) for x in row] for row in entries]
+    lo, hi = Fraction(0), Fraction(1)
+    while hi <= max(sum(row) for row in entries):
+        hi *= 2
+    while hi - lo > Fraction(tol):
+        c = (lo + hi) / 2
+        if _below([[x * c.denominator for x in row] for row in scaled], den * c.numerator):
+            hi = c
+        else:
+            lo = c
+    return float(lo)
 
 
 @dataclass(frozen=True)
 class DimensionResult:
     """Dimension value with its certified rational bracket.
 
-    The bracket, not the float, is the contract: the weighted spectral
-    radius is >= 1 at the lower end and <= 1 at the upper end, and the
-    bracket width never exceeds the requested tolerance.
+    The bracket, not the float, is the contract: the exact test proves the
+    weighted spectral radius >= 1 at the lower end and < 1 at the upper end,
+    and the width never exceeds the requested tolerance. ``value`` is the
+    midpoint, ``iterations`` counts the exponents tested.
     """
 
     value: float
@@ -309,81 +313,84 @@ class DimensionResult:
     method: str
 
 
-def _weighted(gds: GraphDirectedSystem, s: float) -> np.ndarray:
-    mat = np.array(gds.counts, dtype=float)
-    weights = np.array([float(v.ratio) ** s for v in gds.vertices])
-    return mat * weights[:, None]
+def _power_bounds(ratios: Sequence[Fraction], digits: int):
+    """Return ``bounds(s)``: integers lo <= r**s * 10**digits <= hi per ratio r.
 
-
-def _radius_at(gds: GraphDirectedSystem, s, tol: float) -> float:
-    return spectral_radius(_weighted(gds, float(s)), tol)
-
-
-def solve_dimension(
-    gds: GraphDirectedSystem, tol: float = 1e-9, force_bisection: bool = False
-) -> DimensionResult:
-    """Solve for the exponent where the weighted spectral radius equals one.
-
-    The radius is strictly decreasing in the exponent (all ratios are below
-    one), so bisection brackets the crossing; when every vertex carries the
-    same ratio the closed form via the unweighted radius is used instead and
-    cross-checked against a direct probe. ``force_bisection`` exists so the
-    two routes can be compared on equal-ratio systems.
+    ``decimal`` computes exp(s * ln r) with 10 spare digits, each step
+    correctly rounded, so the truncated result widened by one unit below
+    and two above encloses r**s.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    ctx = Context(prec=digits + 10)
+    logs = [ctx.ln(ctx.divide(r.numerator, r.denominator)) for r in ratios]
+
+    def bounds(s: Fraction) -> tuple[list[int], list[int]]:
+        t = ctx.divide(s.numerator, s.denominator)
+        approx = [int(ctx.scaleb(ctx.exp(ctx.multiply(t, lg)), digits)) for lg in logs]
+        return [max(0, v - 1) for v in approx], [v + 2 for v in approx]
+
+    return bounds
+
+
+def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> DimensionResult:
+    """Bracket the exponent s* where the weighted spectral radius equals one.
+
+    Row p of the edge matrix is weighted by r_p**s. The radius decreases
+    strictly in s, so s <= s* exactly when it is at least one. Each step
+    encloses every r**s between integers over 10**P, P about 15 digits
+    beyond ``tol``, and applies the exact test to both enclosing matrices:
+    a lower one not below one proves s <= s*, an upper one below one proves
+    s > s*. When neither holds, s* lies within about 10**-P of s, and the
+    ends of the ``tol``-wide bracket centred on s are proved instead, at
+    higher precision if need be.
+    """
+    _check_tol(tol)
     if gds.size == 0:
         raise ValueError("empty graph-directed system")
     if gds.edge_count() == 0:
         raise ValueError("graph-directed system has no edges")
 
-    ratios = {v.ratio for v in gds.vertices}
-    if len(ratios) == 1 and not force_bisection:
-        lam = float(next(iter(ratios)))
-        rho = spectral_radius(np.array(gds.counts, dtype=float), tol)
-        if rho < 1.0:
-            # Acyclic counts: no exponent works, the system is dimension zero.
-            return DimensionResult(0.0, (Fraction(0), Fraction(0)), 1, "equal-ratio-closed-form")
-        value = math.log(rho) / (-math.log(lam))
-        probe = _radius_at(gds, value, tol)
-        if abs(probe - 1.0) > 1e-6:
-            raise NonConvergenceError(
-                f"closed form failed its cross-check: radius at {value} is {probe}"
-            )
-        half = Fraction(tol) / 2
-        lo = max(Fraction(0), Fraction(value) - half)
-        hi = Fraction(value) + half
-        if _radius_at(gds, lo, tol) < 1.0 or _radius_at(gds, hi, tol) > 1.0:
-            raise NonConvergenceError("closed-form bracket does not straddle the crossing")
-        return DimensionResult(value, (lo, hi), 3, "equal-ratio-closed-form")
+    ratios = sorted({v.ratio for v in gds.vertices})
+    slots = [ratios.index(v.ratio) for v in gds.vertices]
+    width = Fraction(tol)
+    digits = GUARD_DIGITS + max(0, math.ceil(-math.log10(tol)))
+    bounds = _power_bounds(ratios, digits)
+    steps = 1
 
-    lo = Fraction(0)
-    rho_lo = _radius_at(gds, lo, tol)
-    if rho_lo < 1.0:
+    def side(s: Fraction) -> int:
+        """-1 when s <= s* is proved, 1 when s > s* is proved, else 0."""
+        nonlocal steps
+        steps += 1
+        low, high = ([[w[k] * c for c in row] for k, row in zip(slots, gds.counts)] for w in bounds(s))
+        if _below(high, 10**digits):
+            return 1
+        return 0 if _below(low, 10**digits) else -1
+
+    def decide(s: Fraction) -> int:
+        nonlocal digits, bounds
+        while (verdict := side(s)) == 0:
+            digits += GUARD_DIGITS
+            bounds = _power_bounds(ratios, digits)
+        return verdict
+
+    if _below(gds.counts, 1):
+        # Acyclic counts: the radius is zero at every exponent.
         return DimensionResult(0.0, (Fraction(0), Fraction(0)), 1, "bisection")
-    hi = Fraction(1)
-    iterations = 1
-    while _radius_at(gds, hi, tol) >= 1.0:
+    # The radius is at least one at s = 0, and at most the largest weighted row sum.
+    lo, hi = Fraction(0), Fraction(1)
+    while max(v.ratio**hi * sum(row) for v, row in zip(gds.vertices, gds.counts)) >= 1:
         hi *= 2
-        iterations += 1
-        if hi > 2**60:
-            raise NonConvergenceError("no upper bracket found for the dimension exponent")
-    rho_hi = _radius_at(gds, hi, tol)
-    while hi - lo > Fraction(tol):
-        # Strict decrease is the monotonicity contract behind the bisection.
-        if not rho_lo > rho_hi - 1e-12:
-            raise NonConvergenceError(
-                f"weighted radius is not decreasing across the bracket: "
-                f"{rho_lo} at {lo} vs {rho_hi} at {hi}"
-            )
-        mid = (lo + hi) / 2
-        rho_mid = _radius_at(gds, mid, tol)
-        iterations += 1
-        if rho_mid >= 1.0:
-            lo, rho_lo = mid, rho_mid
+    while hi - lo > width:
+        s = (lo + hi) / 2
+        verdict = side(s)
+        if verdict == 0:
+            for end in (s - width / 2, s + width / 2):
+                if lo < end < hi:
+                    lo, hi = (end, hi) if decide(end) < 0 else (lo, end)
+        elif verdict < 0:
+            lo = s
         else:
-            hi, rho_hi = mid, rho_mid
-    return DimensionResult(float((lo + hi) / 2), (lo, hi), iterations, "bisection")
+            hi = s
+    return DimensionResult(float((lo + hi) / 2), (lo, hi), steps, "bisection")
 
 
 def reduced_system(ifs: Ifs, part: Partition, gds: GraphDirectedSystem) -> GraphDirectedSystem:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .exact import AffineMap, Interval, format_rational
@@ -108,15 +109,23 @@ class Ifs:
     def m(self) -> int:
         return len(self.maps)
 
-    def map(self, digit: int) -> AffineMap:
-        """Map for a 1-based digit."""
+    @cached_property
+    def pieces(self) -> tuple[Interval, ...]:
+        """Hull images in digit order, computed once; not a field, so outside eq and repr."""
+        return tuple(f.apply_interval(self.hull) for f in self.maps)
+
+    def _index(self, digit: int) -> int:
         if not 1 <= digit <= self.m:
             raise ValueError(f"digit {digit} outside 1..{self.m}")
-        return self.maps[digit - 1]
+        return digit - 1
+
+    def map(self, digit: int) -> AffineMap:
+        """Map for a 1-based digit."""
+        return self.maps[self._index(digit)]
 
     def piece(self, digit: int) -> Interval:
         """Image of the hull under one map."""
-        return self.map(digit).apply_interval(self.hull)
+        return self.pieces[self._index(digit)]
 
     def compose_word(self, word: Sequence[int]) -> AffineMap:
         """Left-to-right composition: the first digit's map is applied last."""

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .codings import (
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_MAX_NODES,
     Cardinality,
     UnreachableTargetError,
     WitnessRequest,
@@ -18,7 +20,7 @@ from .codings import (
     evaluate,
     make_witness,
 )
-from .dimension import build_graph, build_partition, reduced_system, solve_dimension
+from .dimension import DEFAULT_TOL, build_graph, build_partition, reduced_system, solve_dimension
 from .system import Ifs, ValidationReport, end_case
 
 __all__ = [
@@ -67,8 +69,8 @@ def dichotomy_sweep(
     max_preperiod: int = SWEEP_MAX_PREPERIOD,
     max_period: int = SWEEP_MAX_PERIOD,
     cap: int = SWEEP_CAP,
-    max_nodes: int = 4096,
-    max_depth: int = 512,
+    max_nodes: int = DEFAULT_MAX_NODES,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> dict:
     """Classify a dense sample of eventually periodic points.
 
@@ -89,29 +91,23 @@ def dichotomy_sweep(
         word for plen in range(max_preperiod + 1) for word in product(digits, repeat=plen)
     ]
     periods = [word for qlen in range(1, max_period + 1) for word in product(digits, repeat=qlen)]
-    for pre in preperiods:
-        for per in periods:
-            value = evaluate(ifs, pre, per)
-            if value in seen:
-                continue
-            seen.add(value)
-            verdict = classify_point(ifs, value, max_nodes, max_depth)
-            tally[verdict.kind] += 1
-            classified += 1
-            if verdict.kind == "finite":
-                assert verdict.count is not None
-                finite_counts.add(verdict.count)
-                if verdict.count & (verdict.count - 1):
-                    violations.append(f"w={pre};p={per} -> finite({verdict.count})")
-            elif verdict.kind == "countable":
-                violations.append(f"w={pre};p={per} -> countable")
-            if classified >= cap:
-                return {
-                    "classified": classified,
-                    "tally": tally,
-                    "finite_counts": sorted(finite_counts),
-                    "violations": violations,
-                }
+    for pre, per in product(preperiods, periods):
+        value = evaluate(ifs, pre, per)
+        if value in seen:
+            continue
+        seen.add(value)
+        verdict = classify_point(ifs, value, max_nodes, max_depth)
+        tally[verdict.kind] += 1
+        classified += 1
+        if verdict.kind == "finite":
+            assert verdict.count is not None
+            finite_counts.add(verdict.count)
+            if verdict.count & (verdict.count - 1):
+                violations.append(f"w={pre};p={per} -> finite({verdict.count})")
+        elif verdict.kind == "countable":
+            violations.append(f"w={pre};p={per} -> countable")
+        if classified >= cap:
+            break
     return {
         "classified": classified,
         "tally": tally,
@@ -149,9 +145,9 @@ def run_theorem_harness(
     finite_upto: int = 6,
     power_upto: int = 4,
     sweep_cap: int = SWEEP_CAP,
-    tol: float = 1e-9,
-    max_nodes: int = 4096,
-    max_depth: int = 512,
+    tol: float = DEFAULT_TOL,
+    max_nodes: int = DEFAULT_MAX_NODES,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> HarnessResult:
     """Run the battery of checks behind one of the three count/dimension claims.
 

@@ -124,6 +124,75 @@ def random_member(rng: random.Random) -> tuple[Ifs, list[int | None]]:
     return Ifs.from_maps([AffineMap(ratio, b) for b in offsets]), plan
 
 
+def random_unequal_member(rng: random.Random) -> Ifs:
+    """Random member with unequal ratios: pair (1, 2) overlaps, every other pair has a gap.
+
+    On the hull [0, 1], f1 = r1 x and fm = rm x + 1 - rm fix the ends, and
+    f2 = rm^u x + r1 (1 - rm^u) satisfies f1 fm^u = f2 f1, so f1 and f2
+    overlap in [r1 (1 - rm^u), r1] with tails u and 1. The middle maps fill
+    the room between f2's image and fm's with positive gaps.
+    """
+    while True:
+        m = rng.choice([3, 4, 5])
+        r1 = F(rng.randint(1, 2), rng.randint(5, 9))
+        rm = F(rng.randint(1, 2), rng.randint(5, 9))
+        u = rng.randint(1, 3)
+        middle = [F(1, rng.randint(m + 3, 3 * m + 6)) for _ in range(m - 3)]
+        start = r1 + rm**u * (1 - r1)
+        budget = (1 - rm) - start - sum(middle)
+        if budget > 0:
+            break
+    weights = [F(rng.randint(1, 9)) for _ in range(m - 2)]
+    gaps = [budget * w / sum(weights) for w in weights]
+    maps = [AffineMap(r1, F(0)), AffineMap(rm**u, r1 * (1 - rm**u))]
+    left = start
+    for ratio, gap in zip(middle, gaps):
+        maps.append(AffineMap(ratio, left + gap))
+        left += gap + ratio
+    maps.append(AffineMap(rm, 1 - rm))
+    assert left + gaps[-1] == 1 - rm
+    return Ifs.from_maps(maps)
+
+
+def mpmath_dimension(counts, ratios, digits: int = 40):
+    """Exponent s where rho(diag(r_p**s) counts) = 1, to ``digits`` digits.
+
+    A float bisection on the numpy spectral radius gives a start; mpmath's
+    secant method on det(I - A(s)) at ``digits + 10`` digits refines it. The
+    numpy radius at the refined root must be one, so the determinant root is
+    the crossing of the largest eigenvalue and not of another one.
+    """
+    import mpmath
+    import numpy
+
+    n = len(counts)
+
+    def radius(s: float) -> float:
+        weighted = [[float(r) ** s * c for c in row] for r, row in zip(ratios, counts)]
+        return max(abs(numpy.linalg.eigvals(numpy.array(weighted))))
+
+    lo, hi = 0.0, 1.0
+    while radius(hi) >= 1:
+        lo, hi = hi, 2 * hi
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if radius(mid) >= 1 else (lo, mid)
+    with mpmath.workdps(digits + 10):
+        logs = [mpmath.log(mpmath.mpf(r.numerator) / r.denominator) for r in ratios]
+
+        def det(s):
+            w = [mpmath.exp(s * lg) for lg in logs]
+            return mpmath.det(
+                mpmath.matrix(
+                    [[(p == q) - w[p] * counts[p][q] for q in range(n)] for p in range(n)]
+                )
+            )
+
+        root = mpmath.findroot(det, (mpmath.mpf(lo) - 1e-12, mpmath.mpf(hi) + 1e-12), solver="secant")
+        assert abs(radius(float(root)) - 1) < 1e-9
+        return +root
+
+
 def member_instances(seed: int, count: int):
     rng = random.Random(seed)
     return [random_member(rng) for _ in range(count)]
@@ -159,13 +228,18 @@ def prefix_count_series(graph, depth: int) -> list[int]:
     return series
 
 
-def oracle_classify(graph, depth: int = 60):
+def oracle_classify(graph, depth: int | None = None):
     """Independent three-way verdict from the prefix-count series.
 
-    Returns ("finite", k), ("countable", None) or ("continuum", None).
+    Returns ("finite", k), ("countable", None) or ("continuum", None). The
+    default depth grows with the graph, max(60, 4 * nodes + 8): at a fixed
+    depth of 60 a finite point whose graph has more than about 28 nodes has
+    not stabilised yet and reads as countable.
     """
-    series = prefix_count_series(graph, depth)
     nodes = max(1, len(graph.adjacency))
+    if depth is None:
+        depth = max(60, 4 * nodes + 8)
+    series = prefix_count_series(graph, depth)
     window = min(depth - 1, nodes + 3)
     if series[depth] == series[depth - window]:
         return ("finite", series[depth])

@@ -8,6 +8,8 @@ import math
 import time
 from fractions import Fraction as F
 
+import numpy
+
 from conftest import member_instances, oracle_classify, quad_maps
 from overlapifs import (
     Cardinality,
@@ -242,14 +244,15 @@ def test_criterion_8_property_suites(quad, quad_report, noend, noend_report):
             if not strongly_connected(gds):
                 problems.append("graph not strongly connected")
 
-        # closed form vs bisection on the equal-ratio fixtures
+        # closed form log(rho) / -log(ratio) vs bisection on the equal-ratio fixtures
         for ifs, rep in ((quad, quad_report), (noend, noend_report)):
             gds = build_graph(ifs, build_partition(ifs, rep))
-            closed = solve_dimension(gds)
-            bisected = solve_dimension(gds, force_bisection=True)
-            if abs(closed.value - bisected.value) > 1e-9:
+            rho = max(abs(numpy.linalg.eigvals(numpy.array(gds.counts, dtype=float))))
+            closed = math.log(rho) / -math.log(gds.vertices[0].ratio)
+            bisected = solve_dimension(gds)
+            if abs(closed - bisected.value) > 1e-9:
                 problems.append(
-                    f"closed form {closed.value} vs bisection {bisected.value}"
+                    f"closed form {closed} vs bisection {bisected.value}"
                 )
     ok = not problems and t.elapsed < 60.0
     report(

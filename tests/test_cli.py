@@ -2,6 +2,7 @@
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -150,6 +151,24 @@ class TestDimCommand:
         path.write_text("map r=1/5 b=0\nmap r=1/5 b=4/5\n")
         code, _ = run(["dim", str(path)])
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_exits_three(self, data_dir, tol):
+        for name in ("uneven.ifs", "quad.ifs"):
+            code, text = run(["dim", str(data_dir / name), "--tol", tol])
+            assert code == 3
+            assert text.startswith("error:")
+
+    def test_tiny_tol_bracket_holds_uneven_dimension(self, data_dir, tmp_path):
+        report = tmp_path / "uneven.json"
+        code, _ = run(["dim", str(data_dir / "uneven.ifs"), "--tol", "1e-30", "--json", str(report)])
+        assert code == 0
+        bracket = json.loads(report.read_text())["dimension"]["bracket"]
+        lo, hi = (Fraction(bracket[end]["exact"]) for end in ("lo", "hi"))
+        # the reference has 20 places, so the bracket must lie in its rounding interval
+        ref, half = Fraction("0.58671219919039537789"), Fraction(1, 2 * 10**20)
+        assert ref - half <= lo and hi <= ref + half
+        assert hi - lo <= Fraction(1e-30)
 
 
 class TestClassifyCommand:

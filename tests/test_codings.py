@@ -237,6 +237,14 @@ class TestOracleAgreement:
             assert oracle_classify(g) == expected
             assert (verdict.kind, verdict.count) == expected
 
+    def test_large_finite_graph(self, quad):
+        # 41 residual nodes: the prefix series settles only past depth 60
+        pre = (4, 3, 2, 4, 3, 4, 2, 4, 1, 3, 1, 4, 1, 3, 1, 4, 1, 2, 2, 1, 4, 3, 3, 2)
+        g = build_residual_graph(quad, evaluate(quad, pre, (2, 2, 3, 3, 1, 1, 3)))
+        verdict = classify_cardinality(g)
+        assert (verdict.kind, verdict.count) == ("finite", 156)
+        assert oracle_classify(g) == ("finite", 156)
+
     def test_finite_counts_match_path_counting(self, quad, quad_report):
         for k in range(1, 6):
             w = make_witness(quad, quad_report, WitnessRequest.finite(k))

@@ -1,15 +1,23 @@
 """Partition, cell digraph, spectral radius and the dimension solver."""
 
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import member_instances
+from conftest import member_instances, mpmath_dimension, random_unequal_member
 from overlapifs import (
+    AffineMap,
     EmptyReducedSystemError,
     GraphDirectedSystem,
+    Ifs,
     Interval,
     PartitionInvariantError,
     Vertex,
@@ -254,6 +262,16 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius([[1]], tol=0)
 
+    def test_near_degenerate_symmetric_pair(self):
+        a, b, d = 1.0, 1e-5, 1 - 1e-6
+        closed = (a + d) / 2 + math.sqrt(((a - d) / 2) ** 2 + b * b)
+        assert abs(spectral_radius([[a, b], [b, d]], tol=1e-9) - closed) <= 1e-9
+
+    def test_rejects_non_finite_tol(self):
+        for tol in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError):
+                spectral_radius([[1]], tol=tol)
+
 
 class TestSolveDimension:
     def test_quad_full(self, quad, quad_report):
@@ -261,7 +279,7 @@ class TestSolveDimension:
         result = solve_dimension(gds)
         expected = math.log(quad_radius_oracle()) / math.log(5)
         assert result.value == pytest.approx(expected, abs=1e-6)
-        assert result.method == "equal-ratio-closed-form"
+        assert result.method == "bisection"
         lo, hi = result.bracket
         assert hi - lo <= F(10, 10**9)
 
@@ -281,17 +299,18 @@ class TestSolveDimension:
             assert reduced.value + 10 * tol < full.value
 
     def test_closed_form_and_bisection_agree(self, quad, quad_report, noend, noend_report):
+        # equal ratios: the root is log(rho) / -log(ratio), rho the 0/1 matrix's radius
         for ifs, report in ((quad, quad_report), (noend, noend_report)):
             gds = build_graph(ifs, build_partition(ifs, report))
-            closed = solve_dimension(gds)
-            bisected = solve_dimension(gds, force_bisection=True)
-            assert closed.method == "equal-ratio-closed-form"
+            rho = max(abs(np.linalg.eigvals(np.array(gds.counts, dtype=float))))
+            closed = math.log(rho) / -math.log(gds.vertices[0].ratio)
+            bisected = solve_dimension(gds)
             assert bisected.method == "bisection"
-            assert abs(closed.value - bisected.value) <= 1e-9
+            assert abs(closed - bisected.value) <= 1e-9
 
     def test_bracket_straddles_crossing(self, noend, noend_report):
         gds = build_graph(noend, build_partition(noend, noend_report))
-        result = solve_dimension(gds, force_bisection=True)
+        result = solve_dimension(gds)
         lo, hi = result.bracket
         weighted_lo = [[c * float(v.ratio) ** float(lo) for c in row]
                        for row, v in zip(gds.counts, gds.vertices)]
@@ -321,6 +340,39 @@ class TestSolveDimension:
         )
         with pytest.raises(ValueError):
             solve_dimension(gds)
+
+    def test_rejects_non_finite_tol(self, quad, quad_report):
+        gds = build_graph(quad, build_partition(quad, quad_report))
+        for tol in (math.inf, math.nan, 0.0, -1e-9):
+            with pytest.raises(ValueError):
+                solve_dimension(gds, tol)
+
+    def test_exact_rational_root(self):
+        # rho = 2 * 4**-s, so the dimension is exactly 1/2: the first midpoint
+        # is the root itself, where no enclosure decides, so the ends are proved
+        v = Vertex(1, Interval(F(0), F(1)), 1, F(1, 4))
+        w = Vertex(2, Interval(F(2), F(3)), 2, F(1, 4))
+        gds = GraphDirectedSystem(vertices=(v, w), counts=((1, 1), (1, 1)))
+        for tol in (1e-9, 1e-12):
+            lo, hi = solve_dimension(gds, tol).bracket
+            assert lo <= F(1, 2) <= hi
+            assert hi - lo <= F(tol)
+
+    def test_known_miss_reduced_bracket(self):
+        # f1 = x/5, f2 = x/9 + 8/45, f3 = x/3 + 2/3; f1 f3 f3 = f2 f1
+        ifs = Ifs.from_maps(
+            [AffineMap(F(1, 5), F(0)), AffineMap(F(1, 9), F(8, 45)), AffineMap(F(1, 3), F(2, 3))]
+        )
+        part = build_partition(ifs, validate(ifs))
+        lo, hi = solve_dimension(reduced_system(ifs, part, build_graph(ifs, part)), 1e-12).bracket
+        assert lo <= F("0.59061568915063755333") <= hi
+        assert hi - lo <= F(1e-12)
+
+    def test_uneven_bracket_at_tight_tolerance(self, uneven, uneven_report):
+        gds = build_graph(uneven, build_partition(uneven, uneven_report))
+        lo, hi = solve_dimension(gds, 1e-16).bracket
+        assert lo <= F("0.58671219919039537789") <= hi
+        assert hi - lo <= F(1e-16)
 
 
 class TestReducedSystem:
@@ -395,3 +447,27 @@ class TestRandomMembers:
             full = solve_dimension(gds)
             red = solve_dimension(reduced_system(ifs, part, gds))
             assert red.value + 1e-8 < full.value
+
+    def test_unequal_ratio_brackets_hold_the_root(self):
+        rng = random.Random(2024)
+        for _ in range(30):
+            ifs = random_unequal_member(rng)
+            report = validate(ifs)
+            assert report.member
+            part = build_partition(ifs, report)
+            full = build_graph(ifs, part)
+            for gds in (full, reduced_system(ifs, part, full)):
+                root = mpmath_dimension(gds.counts, [v.ratio for v in gds.vertices])
+                for tol in (1e-9, 1e-12):
+                    lo, hi = solve_dimension(gds, tol).bracket
+                    assert hi - lo <= F(tol)
+                    with mpmath.workdps(50):
+                        assert mpmath.mpf(lo.numerator) / lo.denominator <= root
+                        assert root <= mpmath.mpf(hi.numerator) / hi.denominator
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, overlapifs; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
