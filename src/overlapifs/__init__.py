@@ -18,6 +18,7 @@ from .codings import (
     admissible_digits,
     build_residual_graph,
     classify_cardinality,
+    classify_many,
     classify_point,
     enumerate_codings,
     evaluate,

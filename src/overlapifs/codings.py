@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .scc import strongly_connected_components
@@ -31,6 +32,7 @@ __all__ = [
     "admissible_digits",
     "build_residual_graph",
     "classify_cardinality",
+    "classify_many",
     "classify_point",
     "enumerate_codings",
     "evaluate",
@@ -87,22 +89,14 @@ class SymbolicPoint:
         return symbolic_point(ifs, pre, per)
 
 
-def _check_digits(ifs: Ifs, word: Iterable[int]) -> None:
-    for d in word:
-        if not 1 <= d <= ifs.m:
-            raise ValueError(f"digit {d} outside 1..{ifs.m}")
-
-
 def evaluate(ifs: Ifs, preperiod: Sequence[int], period: Sequence[int]) -> Fraction:
     """Exact value of an eventually periodic digit word.
 
     The result does not change when the period word is rotated and the
-    preperiod extended consistently.
+    preperiod extended consistently. A digit outside 1..m raises ValueError.
     """
     if not period:
         raise ValueError("period word must be nonempty")
-    _check_digits(ifs, preperiod)
-    _check_digits(ifs, period)
     x = ifs.compose_word(period).fixed_point()
     for d in reversed(preperiod):
         x = ifs.map(d)(x)
@@ -145,11 +139,69 @@ class ResidualGraph:
 
     @property
     def edges(self) -> set[tuple[Fraction, int, Fraction]]:
-        return {
-            (src, digit, dst)
-            for src, out in self.adjacency.items()
-            for digit, dst in out.items()
-        }
+        return {(y, d, z) for y, out in self.adjacency.items() for d, z in out.items()}
+
+
+class _Residuals:
+    """Residuals of one system, each interned once as an id 0, 1, 2, ...
+
+    ``succ[i]`` holds the ids of the inverse images of ``values[i]`` through
+    its admissible digits ``labels[i]``, set when the residual is first
+    expanded. No residual is expanded twice, so every root walked over one
+    instance shares one graph.
+    """
+
+    def __init__(self, ifs: Ifs, xs: list[Fraction], max_nodes: int, max_depth: int):
+        if max_nodes < 1 or max_depth < 1:
+            raise ValueError("max_nodes and max_depth must be >= 1")
+        for x in xs:
+            if not ifs.hull.contains(x):
+                raise PointNotInAttractorError(f"{x} lies outside the hull {ifs.hull}")
+        self.ifs, self.max_nodes, self.max_depth = ifs, max_nodes, max_depth
+        self.ids: dict[Fraction, int] = {}
+        self.values: list[Fraction] = []
+        self.labels: dict[int, list[int]] = {}
+        self.succ: list[tuple[int, ...] | None] = []
+        self.roots = [self.intern(x) for x in xs]
+
+    def intern(self, x: Fraction) -> int:
+        i = self.ids.setdefault(x, len(self.values))
+        if i == len(self.values):
+            self.values.append(x)
+            self.succ.append(None)
+        return i
+
+    def successors(self, i: int) -> tuple[int, ...]:
+        out = self.succ[i]
+        if out is None:
+            y = self.values[i]
+            digits = self.labels[i] = admissible_digits(self.ifs, y)
+            out = self.succ[i] = tuple(self.intern(self.ifs.map(d).invert(y)) for d in digits)
+        return out
+
+    def walk(self, root: int) -> tuple[dict[int, int], list[int], str | None]:
+        """Breadth-first closure of one root within the limits: the depth of each
+        discovered id, the ids expanded in the order reached, and the limit
+        that left some id unexpanded (None exactly when none was left)."""
+        depth = {root: 0}
+        queue = deque([root])
+        expanded: list[int] = []
+        limit_hit: str | None = None
+        while queue:
+            y = queue.popleft()
+            if depth[y] >= self.max_depth:
+                limit_hit = "max_depth"
+                continue
+            for z in self.successors(y):
+                if z not in depth:
+                    if len(depth) >= self.max_nodes:
+                        limit_hit = "max_nodes"
+                        break
+                    depth[z] = depth[y] + 1
+                    queue.append(z)
+            else:
+                expanded.append(y)
+        return depth, expanded, limit_hit
 
 
 def build_residual_graph(
@@ -164,45 +216,12 @@ def build_residual_graph(
     classifier's job. Limits never raise, they only mark the graph as not
     exhausted.
     """
-    if max_nodes < 1 or max_depth < 1:
-        raise ValueError("max_nodes and max_depth must be >= 1")
-    if not ifs.hull.contains(x):
-        raise PointNotInAttractorError(f"{x} lies outside the hull {ifs.hull}")
-
-    adjacency: dict[Fraction, dict[int, Fraction]] = {}
-    depth: dict[Fraction, int] = {x: 0}
-    queue: deque[Fraction] = deque([x])
-    limit_hit: str | None = None
-
-    while queue:
-        y = queue.popleft()
-        if depth[y] >= max_depth:
-            limit_hit = "max_depth"
-            continue
-        out: dict[int, Fraction] = {}
-        blocked = False
-        for d in admissible_digits(ifs, y):
-            z = ifs.map(d).invert(y)
-            if z not in depth:
-                if len(depth) >= max_nodes:
-                    limit_hit = "max_nodes"
-                    blocked = True
-                    break
-                depth[z] = depth[y] + 1
-                queue.append(z)
-            out[d] = z
-        if blocked:
-            continue
-        adjacency[y] = out
-
-    unexpanded = frozenset(depth) - frozenset(adjacency)
-    return ResidualGraph(
-        root=x,
-        adjacency=adjacency,
-        unexpanded=unexpanded,
-        exhausted=not unexpanded,
-        limit_hit=None if not unexpanded else limit_hit,
-    )
+    res = _Residuals(ifs, [x], max_nodes, max_depth)
+    depth, expanded, limit_hit = res.walk(res.roots[0])
+    value = res.values.__getitem__
+    adjacency = {value(y): dict(zip(res.labels[y], map(value, res.succ[y]))) for y in expanded}
+    unexpanded = frozenset(map(value, depth.keys() - expanded))
+    return ResidualGraph(x, adjacency, unexpanded, not unexpanded, limit_hit)
 
 
 @dataclass(frozen=True)
@@ -246,22 +265,52 @@ class Cardinality:
         return self.kind
 
 
-def _pruned_alive(adjacency: dict, protected: frozenset) -> set:
-    """Nodes surviving iterated removal of dead ends.
+def _id_graph(graph: ResidualGraph) -> tuple[dict[Fraction, int], list[list[int]]]:
+    """The graph on ids 0..n-1, successors once per digit; an unexpanded node
+    gets a self-loop, since pruning must never prove it dead."""
+    ids = {y: i for i, y in enumerate(chain(graph.adjacency, graph.unexpanded))}
+    succ = [[ids[z] for z in out.values()] for out in graph.adjacency.values()]
+    return ids, succ + [[i] for i in range(len(succ), len(ids))]
 
-    Protected nodes (unexpanded frontier) are never removed: their onward
-    edges are unknown, so they cannot be proved dead.
+
+def _facts(succ: Sequence[Sequence[int]]) -> tuple[bytearray, list[int]]:
+    """Root-independent facts of every node y of a graph on ids 0..n-1.
+
+    ``walks[y]`` is 0 exactly when y has no infinite path (dead-end pruning
+    removes it). ``flag[y]`` is 2 when y reaches a cycle with a branch inside
+    (a continuum of paths), else 1 when it reaches a cycle with an exit to a
+    live node (countably many: the exit leads to a cycle again), else 0, and
+    then ``walks[y]`` counts the walks from y into terminal cycles. Tarjan
+    emits components callees first, so successors' facts are always ready.
     """
-    alive = set(adjacency) | set(protected)
-    while True:
-        dead = {
-            y
-            for y in alive
-            if y not in protected and not any(z in alive for z in adjacency[y].values())
-        }
-        if not dead:
-            return alive
-        alive -= dead
+    comp = [-1] * len(succ)
+    flag = bytearray(len(succ))
+    walks = [0] * len(succ)
+    for c, nodes in enumerate(strongly_connected_components(succ)):
+        for y in nodes:
+            comp[y] = c
+        cyclic = len(nodes) > 1 or nodes[0] in succ[nodes[0]]
+        f = 0
+        for y in nodes:
+            if sum(comp[z] == c for z in succ[y]) > 1:
+                f = 2
+            for z in succ[y]:
+                if comp[z] != c and walks[z]:
+                    f = max(f, cyclic, flag[z])
+        for y in nodes:
+            flag[y] = f
+            walks[y] = 1 if cyclic or f else sum(walks[z] for z in succ[y])
+    return flag, walks
+
+
+def _verdict(flag: bytearray, walks: list[int], y: int, value: Fraction) -> Cardinality:
+    if not walks[y]:
+        raise PointNotInAttractorError(
+            f"{value} has no infinite digit path; it is not an attractor point"
+        )
+    if flag[y]:
+        return Cardinality.continuum() if flag[y] == 2 else Cardinality.countable()
+    return Cardinality.finite(walks[y])
 
 
 def classify_cardinality(graph: ResidualGraph) -> Cardinality:
@@ -270,64 +319,37 @@ def classify_cardinality(graph: ResidualGraph) -> Cardinality:
     Exhausted graphs are pruned of dead branches, then decided by the cycle
     structure reachable from the root: a cycle with a branch inside it forces
     a continuum of paths, a cycle that can exit toward another cycle gives
-    countably many, and otherwise the paths are counted exactly (each walk
-    into a terminal cycle contributes the single forever-around tail).
+    countably many, and otherwise the paths are counted exactly.
     """
     if not graph.exhausted:
         return Cardinality.unknown(graph.limit_hit)
-    adjacency = graph.adjacency
-    alive = _pruned_alive(adjacency, frozenset())
-    if graph.root not in alive:
-        raise PointNotInAttractorError(
-            f"{graph.root} has no infinite digit path; it is not an attractor point"
-        )
+    ids, succ = _id_graph(graph)
+    return _verdict(*_facts(succ), ids[graph.root], graph.root)
 
-    # Restrict to what the root can reach.
-    reach: set[Fraction] = set()
-    stack = [graph.root]
-    while stack:
-        y = stack.pop()
-        if y in reach:
-            continue
-        reach.add(y)
-        stack.extend(z for z in adjacency[y].values() if z in alive and z not in reach)
 
-    def successors(y: Fraction) -> list[Fraction]:
-        return [z for z in adjacency[y].values() if z in reach]
+def classify_many(
+    ifs: Ifs,
+    values: Iterable[Fraction],
+    max_nodes: int = DEFAULT_MAX_NODES,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> list[Cardinality]:
+    """Classify a batch of points over one shared residual graph.
 
-    components = strongly_connected_components(sorted(reach), successors)
-    comp_of = {node: i for i, comp in enumerate(components) for node in comp}
-    cyclic = {
-        i
-        for i, comp in enumerate(components)
-        if len(comp) > 1 or any(z == comp[0] for z in adjacency[comp[0]].values())
-    }
-
-    # Branching inside one cycle component: continuum of paths.
-    for i in cyclic:
-        for y in components[i]:
-            inner = sum(1 for z in adjacency[y].values() if z in reach and comp_of[z] == i)
-            if inner >= 2:
-                return Cardinality.continuum()
-
-    # An exit edge from a cycle: after pruning, every surviving path leads to
-    # some cycle again, so one exit is enough for countably many paths.
-    for i in cyclic:
-        for y in components[i]:
-            if any(z in reach and comp_of[z] != i for z in adjacency[y].values()):
-                return Cardinality.countable()
-
-    # Finite: count digit-labelled walks from the root into terminal cycles.
-    # Components arrive callees-first, so successor counts are ready.
-    walk_count: dict[Fraction, int] = {}
-    for i, comp in enumerate(components):
-        if i in cyclic:
-            for y in comp:
-                walk_count[y] = 1
-        else:
-            (y,) = comp
-            walk_count[y] = sum(walk_count[z] for z in adjacency[y].values() if z in reach)
-    return Cardinality.finite(walk_count[graph.root])
+    Each verdict (or PointNotInAttractorError) is that of
+    ``classify_cardinality(build_residual_graph(...))`` with the same limits,
+    but every residual is expanded once for the whole batch and the graph is
+    decided in one pass. Equal verdicts are one shared object.
+    """
+    values = list(values)
+    res = _Residuals(ifs, values, max_nodes, max_depth)
+    limits = [res.walk(root)[2] for root in res.roots]
+    facts = _facts([() if out is None else out for out in res.succ])
+    shared: dict[Cardinality, Cardinality] = {}
+    verdicts = []
+    for x, root, limit in zip(values, res.roots, limits):
+        verdict = Cardinality.unknown(limit) if limit else _verdict(*facts, root, x)
+        verdicts.append(shared.setdefault(verdict, verdict))
+    return verdicts
 
 
 def classify_point(
@@ -336,8 +358,8 @@ def classify_point(
     max_nodes: int = DEFAULT_MAX_NODES,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Cardinality:
-    """Build the residual graph of x and classify it."""
-    return classify_cardinality(build_residual_graph(ifs, x, max_nodes, max_depth))
+    """Classify the residual graph of x: a one-point ``classify_many``."""
+    return classify_many(ifs, [x], max_nodes, max_depth)[0]
 
 
 def enumerate_codings(
@@ -359,8 +381,9 @@ def enumerate_codings(
     if graph is None:
         graph = build_residual_graph(ifs, x, max_nodes, max_depth)
     adjacency = graph.adjacency
-    alive = _pruned_alive(adjacency, graph.unexpanded)
-    if graph.root not in alive:
+    ids, succ = _id_graph(graph)
+    walks = _facts(succ)[1]
+    if not walks[ids[graph.root]]:
         return []
 
     words: list[tuple[int, ...]] = []
@@ -374,7 +397,7 @@ def enumerate_codings(
             continue  # unexpanded frontier: continuation unknown
         for d in sorted(adjacency[y], reverse=True):
             z = adjacency[y][d]
-            if z in alive:
+            if walks[ids[z]]:
                 stack.append((z, prefix + (d,)))
     return sorted(words)
 
@@ -476,12 +499,7 @@ def make_witness(
         assert k is not None
         if case.tag == "end-overlap":
             s = k - 1
-            if case.left_overlaps and not case.right_overlaps:
-                spec = report.overlap_at(1)
-                assert spec is not None
-                tail = _verified_unique_tail(ifs, (m - 1,), (m,), max_nodes, max_depth)
-                head = (1,) + (m,) * (spec.u * s)
-            elif case.right_overlaps and not case.left_overlaps:
+            if case.right_overlaps and not case.left_overlaps:
                 spec = report.overlap_at(m - 1)
                 assert spec is not None
                 tail = _verified_unique_tail(ifs, (2,), (1,), max_nodes, max_depth)
@@ -489,9 +507,9 @@ def make_witness(
             else:
                 spec = report.overlap_at(1)
                 assert spec is not None
-                # Anchor the tail at the smallest disjoint middle pair.
-                mid = min(report.disjoint_pairs)
-                tail = _verified_unique_tail(ifs, (mid,), (m,), max_nodes, max_depth)
+                # When both ends overlap, anchor the tail at the smallest disjoint middle pair.
+                first = min(report.disjoint_pairs) if case.right_overlaps else m - 1
+                tail = _verified_unique_tail(ifs, (first,), (m,), max_nodes, max_depth)
                 head = (1,) + (m,) * (spec.u * s)
             pre, per = head + tail[0], tail[1]
         else:

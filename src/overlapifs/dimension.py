@@ -230,13 +230,11 @@ def strongly_connected(gds: GraphDirectedSystem) -> bool:
     if n == 0:
         return False
 
-    def successors(p: int) -> list[int]:
-        return [q for q in range(n) if gds.counts[p][q]]
-
-    return len(strongly_connected_components(range(n), successors)) == 1
+    successors = [[q for q in range(n) if row[q]] for row in gds.counts]
+    return len(strongly_connected_components(successors)) == 1
 
 
-def _check_tol(tol: float) -> None:
+def check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
@@ -274,7 +272,7 @@ def spectral_radius(matrix, tol: float = 1e-9) -> float:
     sum; the result is the lower end of a bracket of width at most ``tol``,
     so integer radii come out exactly.
     """
-    _check_tol(tol)
+    check_tol(tol)
     entries = [[Fraction(x) for x in row] for row in matrix]
     n = len(entries)
     if any(len(row) != n for row in entries):
@@ -343,7 +341,7 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
     ends of the ``tol``-wide bracket centred on s are proved instead, at
     higher precision if need be.
     """
-    _check_tol(tol)
+    check_tol(tol)
     if gds.size == 0:
         raise ValueError("empty graph-directed system")
     if gds.edge_count() == 0:

@@ -2,59 +2,55 @@
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, TypeVar
-
-T = TypeVar("T", bound=Hashable)
+from typing import Iterable, Iterator, Sequence
 
 
-def strongly_connected_components(
-    nodes: Iterable[T], successors: Callable[[T], Iterable[T]]
-) -> list[list[T]]:
-    """SCCs of a directed graph, emitted in reverse topological order.
+def strongly_connected_components(successors: Sequence[Iterable[int]]) -> list[list[int]]:
+    """SCCs of the graph on nodes 0..n-1, emitted in reverse topological order.
 
-    Iterative so deep graphs do not hit the interpreter recursion limit.
-    Successors of every node must themselves be members of ``nodes``.
+    ``successors[v]`` lists the heads of v's edges, n = len(successors).
+    Iterative so deep graphs do not hit the interpreter recursion limit; the
+    per-node state lives in flat lists and a bytearray.
     """
-    index: dict[T, int] = {}
-    lowlink: dict[T, int] = {}
-    on_stack: set[T] = set()
-    stack: list[T] = []
-    sccs: list[list[T]] = []
+    n = len(successors)
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
+    work: list[tuple[int, Iterator[int]]] = []
+    sccs: list[list[int]] = []
     counter = 0
 
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = lowlink[root] = counter
+    def visit(v: int) -> None:
+        nonlocal counter
+        index[v] = lowlink[v] = counter
         counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work: list[tuple[T, Iterable[T]]] = [(root, iter(successors(root)))]
+        stack.append(v)
+        on_stack[v] = 1
+        work.append((v, iter(successors[v])))
+
+    for root in range(n):
+        if index[root] < 0:
+            visit(root)
         while work:
             v, it = work[-1]
-            child = next(it, None)  # type: ignore[arg-type]
-            if child is not None:
-                w = child
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors(w))))
-                elif w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                sccs.append(component)
+            for w in it:
+                if index[w] < 0:
+                    visit(w)
+                    break
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                if work and lowlink[v] < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = lowlink[v]
+                if lowlink[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        component.append(w)
+                        if w == v:
+                            break
+                    sccs.append(component)
     return sccs

@@ -8,6 +8,7 @@ command line and the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 
 from .codings import (
@@ -16,11 +17,18 @@ from .codings import (
     Cardinality,
     UnreachableTargetError,
     WitnessRequest,
-    classify_point,
+    classify_many,
     evaluate,
     make_witness,
 )
-from .dimension import DEFAULT_TOL, build_graph, build_partition, reduced_system, solve_dimension
+from .dimension import (
+    DEFAULT_TOL,
+    check_tol,
+    build_graph,
+    build_partition,
+    reduced_system,
+    solve_dimension,
+)
 from .system import Ifs, ValidationReport, end_case
 
 __all__ = [
@@ -76,66 +84,59 @@ def dichotomy_sweep(
 
     Enumerates every word with the given preperiod and period bounds in a
     fixed order, deduplicates by exact value and classifies up to ``cap``
-    distinct points. Returns tallies plus any verdicts that break the
-    power-of-two dichotomy (a finite count that is not a power of two, or a
-    countable verdict).
+    distinct points in one ``classify_many`` call; a value is the composed
+    map of its preperiod at the fixed point of its period, each computed once,
+    so it equals ``evaluate``'s exactly. Returns tallies plus any verdicts
+    that break the power-of-two dichotomy (a finite count that is not a power
+    of two, or a countable verdict).
     """
-    digits = range(1, ifs.m + 1)
-    seen: set = set()
+
+    def words(lo: int, hi: int) -> list[tuple[int, ...]]:
+        return [w for n in range(lo, hi + 1) for w in product(range(1, ifs.m + 1), repeat=n)]
+
+    heads = [(pre, ifs.compose_word(pre) if pre else None) for pre in words(0, max_preperiod)]
+    tails = [(per, ifs.compose_word(per).fixed_point()) for per in words(1, max_period)]
+    first: dict[Fraction, tuple] = {}  # each distinct value -> its first word
+    for (pre, head), (per, fixed) in product(heads, tails):
+        first.setdefault(head(fixed) if head else fixed, (pre, per))
+        if len(first) >= cap:
+            break
+
     tally = {"finite": 0, "countable": 0, "continuum": 0, "unknown": 0}
     finite_counts: set[int] = set()
     violations: list[str] = []
-    classified = 0
-
-    preperiods = [
-        word for plen in range(max_preperiod + 1) for word in product(digits, repeat=plen)
-    ]
-    periods = [word for qlen in range(1, max_period + 1) for word in product(digits, repeat=qlen)]
-    for pre, per in product(preperiods, periods):
-        value = evaluate(ifs, pre, per)
-        if value in seen:
-            continue
-        seen.add(value)
-        verdict = classify_point(ifs, value, max_nodes, max_depth)
+    verdicts = classify_many(ifs, first, max_nodes, max_depth)
+    for (pre, per), verdict in zip(first.values(), verdicts):
         tally[verdict.kind] += 1
-        classified += 1
         if verdict.kind == "finite":
-            assert verdict.count is not None
             finite_counts.add(verdict.count)
             if verdict.count & (verdict.count - 1):
                 violations.append(f"w={pre};p={per} -> finite({verdict.count})")
         elif verdict.kind == "countable":
             violations.append(f"w={pre};p={per} -> countable")
-        if classified >= cap:
-            break
     return {
-        "classified": classified,
+        "classified": len(first),
         "tally": tally,
         "finite_counts": sorted(finite_counts),
         "violations": violations,
     }
 
 
-def _witness_check(ifs: Ifs, report: ValidationReport, request: WitnessRequest, **limits) -> CheckResult:
-    label = request.kind if request.count is None else f"{request.kind}({request.count})"
-    try:
-        point = make_witness(ifs, report, request, **limits)
-    except Exception as exc:  # construction is self-verifying, so report why
-        return CheckResult(f"witness {label}", False, str(exc))
-    return CheckResult(f"witness {label}", True, f"{point} = value {point.value}")
-
-
-def _unreachable_check(
-    ifs: Ifs, report: ValidationReport, request: WitnessRequest, **limits
+def _witness_check(
+    ifs: Ifs, report: ValidationReport, request: WitnessRequest, unreachable: bool, limits: dict
 ) -> CheckResult:
+    """Construct the requested witness, or expect UnreachableTargetError when ``unreachable``."""
     label = request.kind if request.count is None else f"{request.kind}({request.count})"
+    name = f"{'unreachable' if unreachable else 'witness'} {label}"
     try:
         point = make_witness(ifs, report, request, **limits)
     except UnreachableTargetError as exc:
-        return CheckResult(f"unreachable {label}", True, str(exc))
-    except Exception as exc:
-        return CheckResult(f"unreachable {label}", False, f"unexpected error: {exc}")
-    return CheckResult(f"unreachable {label}", False, f"unexpectedly constructed {point}")
+        return CheckResult(name, unreachable, str(exc))
+    except Exception as exc:  # construction is self-verifying, so report why
+        return CheckResult(name, False, f"unexpected error: {exc}" if unreachable else str(exc))
+    if unreachable:
+        return CheckResult(name, False, f"unexpectedly constructed {point}")
+    return CheckResult(name, True, f"{point} = value {point.value}")
 
 
 def run_theorem_harness(
@@ -157,6 +158,7 @@ def run_theorem_harness(
     (only powers of two occur, countable never does); ``theorem=3`` ties the
     continuum-coding set to the attractor dimension on any member.
     """
+    check_tol(tol)
     if not report.member:
         raise ValueError("harness needs a validated member system")
     limits = {"max_nodes": max_nodes, "max_depth": max_depth}
@@ -164,57 +166,40 @@ def run_theorem_harness(
     result = HarnessResult(theorem=theorem, applicable=True)
     m = ifs.m
 
+    def check(request: WitnessRequest, unreachable: bool = False) -> None:
+        result.checks.append(_witness_check(ifs, report, request, unreachable, limits))
+
+    needs = {1: "end-overlap", 2: "no-end-overlap"}
+    if theorem in needs and case.tag != needs[theorem]:
+        result.applicable = False
+        which = "no extreme neighbour pair" if theorem == 1 else "an extreme neighbour pair"
+        result.checks.append(CheckResult("applicability", False, f"{which} overlaps"))
+        return result
+
     if theorem == 1:
-        if case.tag != "end-overlap":
-            result.applicable = False
-            result.checks.append(
-                CheckResult("applicability", False, "no extreme neighbour pair overlaps")
-            )
-            return result
         for k in range(1, finite_upto + 1):
-            result.checks.append(_witness_check(ifs, report, WitnessRequest.finite(k), **limits))
-        result.checks.append(_witness_check(ifs, report, WitnessRequest.countable(), **limits))
+            check(WitnessRequest.finite(k))
+        check(WitnessRequest.countable())
         # A whole family of countable points: push the overlapping end's
         # extreme digit in front of the opposite endpoint's unique word.
-        family = []
-        ok = True
-        detail = ""
-        for n in range(1, 5):
-            if case.left_overlaps:
-                pre, per = (1,) * n, (m,)
-            else:
-                pre, per = (m,) * n, (1,)
-            value = evaluate(ifs, pre, per)
-            verdict = classify_point(ifs, value, **limits)
-            family.append(value)
-            if verdict != Cardinality.countable():
-                ok = False
-                detail = f"depth-{n} family point {value} classified {verdict}"
-                break
-        if ok and len(set(family)) != len(family):
+        pre, per = ((1,), (m,)) if case.left_overlaps else ((m,), (1,))
+        family = [evaluate(ifs, pre * n, per) for n in range(1, 5)]
+        verdicts = classify_many(ifs, family, **limits)
+        n = next((n for n, v in enumerate(verdicts) if v != Cardinality.countable()), None)
+        if n is not None:
+            ok, detail = False, f"depth-{n + 1} family point {family[n]} classified {verdicts[n]}"
+        elif len(set(family)) != len(family):
             ok, detail = False, "family points collided"
-        if ok:
-            detail = f"{len(family)} distinct countable family points"
+        else:
+            ok, detail = True, f"{len(family)} distinct countable family points"
         result.checks.append(CheckResult("countable family", ok, detail))
 
     elif theorem == 2:
-        if case.tag != "no-end-overlap":
-            result.applicable = False
-            result.checks.append(
-                CheckResult("applicability", False, "an extreme neighbour pair overlaps")
-            )
-            return result
-        for s in range(0, power_upto + 1):
-            result.checks.append(
-                _witness_check(ifs, report, WitnessRequest.finite(2**s), **limits)
-            )
+        for s in range(power_upto + 1):
+            check(WitnessRequest.finite(2**s))
         for k in (3, 5, 6):
-            result.checks.append(
-                _unreachable_check(ifs, report, WitnessRequest.finite(k), **limits)
-            )
-        result.checks.append(
-            _unreachable_check(ifs, report, WitnessRequest.countable(), **limits)
-        )
+            check(WitnessRequest.finite(k), unreachable=True)
+        check(WitnessRequest.countable(), unreachable=True)
         sweep = dichotomy_sweep(ifs, cap=sweep_cap, max_nodes=max_nodes, max_depth=max_depth)
         ok = not sweep["violations"]
         detail = (
@@ -226,7 +211,7 @@ def run_theorem_harness(
         result.checks.append(CheckResult("power-of-two dichotomy sweep", ok, detail))
 
     elif theorem == 3:
-        result.checks.append(_witness_check(ifs, report, WitnessRequest.continuum(), **limits))
+        check(WitnessRequest.continuum())
         part = build_partition(ifs, report)
         gds = build_graph(ifs, part)
         full = solve_dimension(gds, tol)

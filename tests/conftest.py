@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from overlapifs import AffineMap, Ifs, validate
+from overlapifs import AffineMap, Ifs, evaluate, validate
 
 DATA = Path(__file__).parent / "data"
 
@@ -191,6 +192,24 @@ def mpmath_dimension(counts, ratios, digits: int = 40):
         root = mpmath.findroot(det, (mpmath.mpf(lo) - 1e-12, mpmath.mpf(hi) + 1e-12), solver="secant")
         assert abs(radius(float(root)) - 1) < 1e-9
         return +root
+
+
+def sweep_words(ifs: Ifs, max_preperiod: int = 4, max_period: int = 3, cap: int = 5000) -> dict:
+    """The points of ``dichotomy_sweep``, built one word at a time with ``evaluate``.
+
+    Maps each distinct value to its first word (preperiod, period), in the
+    sweep's order and up to its cap: the slow reference for the sweep's
+    batch of values.
+    """
+    digits = range(1, ifs.m + 1)
+    pres = [w for n in range(max_preperiod + 1) for w in product(digits, repeat=n)]
+    pers = [w for n in range(1, max_period + 1) for w in product(digits, repeat=n)]
+    words: dict = {}
+    for pre, per in product(pres, pers):
+        words.setdefault(evaluate(ifs, pre, per), (pre, per))
+        if len(words) >= cap:
+            break
+    return words
 
 
 def member_instances(seed: int, count: int):

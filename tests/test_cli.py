@@ -240,6 +240,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "applicable: False" in text
 
+    @pytest.mark.parametrize("system", ["quad", "noend"])
+    @pytest.mark.parametrize("theorem", ["1", "2"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tol_exits_three(self, quad_file, noend_file, system, theorem, tol):
+        path = quad_file if system == "quad" else noend_file
+        code, text = run(["verify", path, "--theorem", theorem, f"--tol={tol}"])
+        assert code == 3
+        assert "error: tol must be finite and positive" in text
+
 
 class TestCheckedInSystems:
     """The description files shipped under tests/data stay analyzable."""

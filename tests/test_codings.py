@@ -1,10 +1,17 @@
 """Coding engine: evaluation, residual graphs, classification, witnesses."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import oracle_classify, prefix_count_series
+from conftest import (
+    oracle_classify,
+    prefix_count_series,
+    random_member,
+    random_unequal_member,
+    sweep_words,
+)
 from overlapifs import (
     Cardinality,
     PointNotInAttractorError,
@@ -14,6 +21,7 @@ from overlapifs import (
     admissible_digits,
     build_residual_graph,
     classify_cardinality,
+    classify_many,
     classify_point,
     enumerate_codings,
     evaluate,
@@ -151,6 +159,79 @@ class TestClassify:
         for s in range(4):
             w = make_witness(noend, noend_report, WitnessRequest.finite(2**s))
             assert classify_point(noend, w.value) == Cardinality.finite(2**s)
+
+
+def per_point(ifs, xs, **limits):
+    return [classify_cardinality(build_residual_graph(ifs, x, **limits)) for x in xs]
+
+
+def random_words(rng, ifs, count):
+    digits = range(1, ifs.m + 1)
+    return [
+        (
+            tuple(rng.choice(digits) for _ in range(rng.randint(0, 6))),
+            tuple(rng.choice(digits) for _ in range(rng.randint(1, 3))),
+        )
+        for _ in range(count)
+    ]
+
+
+class TestClassifyMany:
+    """One shared graph for a batch gives the per-point verdicts exactly."""
+
+    def test_full_noend_sweep_matches_per_point(self, noend):
+        values = list(sweep_words(noend))
+        assert len(values) == 5000
+        assert classify_many(noend, values) == per_point(noend, values)
+
+    @pytest.mark.parametrize("kind", ["equal", "unequal"])
+    def test_seeded_members_match_per_point_and_oracle(self, kind):
+        rng = random.Random(2024)
+        for _ in range(4):
+            ifs = random_member(rng)[0] if kind == "equal" else random_unequal_member(rng)
+            values = [evaluate(ifs, pre, per) for pre, per in random_words(rng, ifs, 40)]
+            graphs = [build_residual_graph(ifs, x) for x in values]
+            got = classify_many(ifs, values)
+            assert got == [classify_cardinality(g) for g in graphs]
+            for x, g, verdict in zip(values, graphs, got):
+                assert g.exhausted
+                assert (verdict.kind, verdict.count) == oracle_classify(g), x
+
+    @pytest.mark.parametrize("limits", [{"max_nodes": 3}, {"max_depth": 2}])
+    def test_limited_quad_points_match_per_point(self, quad, limits):
+        values = [evaluate(quad, pre, per) for pre, per in random_words(random.Random(5), quad, 60)]
+        got = classify_many(quad, values, **limits)
+        assert got == per_point(quad, values, **limits)
+        (limit,) = limits
+        assert Cardinality.unknown(limit) in got
+        assert any(v.kind != "unknown" for v in got)
+
+    def test_duplicate_values(self, quad):
+        values = [F(1, 6), F(1, 5), F(1, 6), F(1), F(1, 5), F(109, 625), F(1, 6)]
+        got = classify_many(quad, values)
+        assert got == per_point(quad, values)
+        assert got[0] is got[2] is got[6]
+        assert got[1] is got[4]
+
+    def test_equal_verdicts_are_one_object(self, noend):
+        got = classify_many(noend, list(sweep_words(noend, 2, 2, 300)))
+        assert len({id(v) for v in got}) == len(set(got))
+
+    def test_empty_batch(self, quad):
+        assert classify_many(quad, []) == []
+
+    def test_value_outside_hull(self, quad):
+        with pytest.raises(PointNotInAttractorError):
+            classify_many(quad, [F(1, 5), F(2)])
+
+    def test_gap_point_is_not_in_attractor(self, quad):
+        with pytest.raises(PointNotInAttractorError):
+            classify_many(quad, [F(1, 5), F(1, 2)])
+
+    @pytest.mark.parametrize("limits", [{"max_nodes": 0}, {"max_depth": 0}])
+    def test_rejects_zero_limits(self, quad, limits):
+        with pytest.raises(ValueError):
+            classify_many(quad, [F(1, 5)], **limits)
 
 
 class TestEnumerate:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from overlapifs import dichotomy_sweep, run_theorem_harness
+from conftest import sweep_words
+from overlapifs import classify_point, dichotomy_sweep, run_theorem_harness
 
 
 class TestTheoremOne:
@@ -63,6 +64,25 @@ class TestSweep:
         sweep = dichotomy_sweep(quad, max_preperiod=2, max_period=1, cap=200)
         assert sweep["tally"]["countable"] > 0
 
+    def test_noend_default_sweep_pinned(self, noend):
+        sweep = dichotomy_sweep(noend)
+        assert sweep["classified"] == 5000
+        assert sweep["tally"] == {"finite": 3655, "countable": 0, "continuum": 1345, "unknown": 0}
+        assert sweep["finite_counts"] == [1, 2, 4]
+        assert sweep["violations"] == []
+
+    def test_quad_violations_match_per_point_loop(self, quad):
+        expected = []
+        for x, (pre, per) in sweep_words(quad).items():
+            verdict = classify_point(quad, x)
+            if verdict.kind == "countable":
+                expected.append(f"w={pre};p={per} -> countable")
+            elif verdict.kind == "finite" and verdict.count & (verdict.count - 1):
+                expected.append(f"w={pre};p={per} -> finite({verdict.count})")
+        sweep = dichotomy_sweep(quad)
+        assert expected
+        assert sweep["violations"] == expected
+
     def test_cap_respected(self, noend):
         sweep = dichotomy_sweep(noend, max_preperiod=3, max_period=2, cap=50)
         assert sweep["classified"] == 50
@@ -77,6 +97,12 @@ class TestValidation:
         bad = validate(Ifs.from_maps([AffineMap(F(1, 5), F(0)), AffineMap(F(1, 5), F(4, 5))]))
         with pytest.raises(ValueError):
             run_theorem_harness(quad, bad, 1)
+
+    @pytest.mark.parametrize("theorem", [1, 2, 3])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_tol(self, quad, quad_report, theorem, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            run_theorem_harness(quad, quad_report, theorem, tol=tol)
 
     def test_rejects_bad_theorem_number(self, quad, quad_report):
         with pytest.raises(ValueError):
