@@ -3,7 +3,12 @@
 import pytest
 
 from conftest import sweep_words
-from overlapifs import classify_point, dichotomy_sweep, run_theorem_harness
+from overlapifs import (
+    build_residual_graph,
+    classify_cardinality,
+    dichotomy_sweep,
+    run_theorem_harness,
+)
 
 
 class TestTheoremOne:
@@ -74,7 +79,7 @@ class TestSweep:
     def test_quad_violations_match_per_point_loop(self, quad):
         expected = []
         for x, (pre, per) in sweep_words(quad).items():
-            verdict = classify_point(quad, x)
+            verdict = classify_cardinality(build_residual_graph(quad, x))
             if verdict.kind == "countable":
                 expected.append(f"w={pre};p={per} -> countable")
             elif verdict.kind == "finite" and verdict.count & (verdict.count - 1):
