@@ -2,7 +2,7 @@
 
 Subcommands: validate, partition, dim, classify, witness, verify. Exit codes
 are 0 for success, 1 when the system fails validation, 2 for an undecided
-verdict or a failed verification harness, and 3 for parse or usage errors.
+verdict, a failed harness or internal check, and 3 for parse or usage errors.
 """
 
 from __future__ import annotations
@@ -22,15 +22,16 @@ from .codings import (
     SymbolicPoint,
     UnreachableTargetError,
     WitnessRequest,
+    WitnessVerificationError,
     build_residual_graph,
     classify_cardinality,
     enumerate_codings,
     make_witness,
 )
-from .dimension import DEFAULT_TOL, build_graph, build_partition, reduced_system
-from .dimension import solve_dimension, to_dot
+from .dimension import DEFAULT_TOL, CoverViolationError, PartitionInvariantError
+from .dimension import build_graph, build_partition, reduced_system, solve_dimension, to_dot
 from .exact import AffineMap, format_rational, parse_rational
-from .system import Ifs, ValidationReport, end_case, validate
+from .system import Ifs, SearchCapExceeded, ValidationReport, end_case, validate
 from .verify import run_theorem_harness
 
 __all__ = ["IfsFile", "IfsFileError", "main", "parse_ifs_file"]
@@ -41,6 +42,11 @@ EXIT_UNDECIDED = 2
 EXIT_PARSE = 3
 
 _NINE_PLACES = Decimal("0.000000001")
+
+# A failed self-check inside the program: no verdict, so exit 2, not a traceback.
+_INTERNAL_ERRORS = (
+    WitnessVerificationError, PartitionInvariantError, CoverViolationError, SearchCapExceeded
+)
 
 
 class IfsFileError(ValueError):
@@ -243,7 +249,12 @@ def _cmd_validate(args, out) -> int:
     return EXIT_OK if report.member else EXIT_NOT_MEMBER
 
 
-def _require_member(ifs: Ifs, out) -> ValidationReport | None:
+class _NotMember(Exception):
+    """The system failed validation; the reason has been printed."""
+
+
+def _load_member(args, out) -> tuple[IfsFile, Ifs, ValidationReport]:
+    source, ifs = _load(args.file)
     report = validate(ifs)
     if not report.member:
         assert report.violation is not None
@@ -252,15 +263,12 @@ def _require_member(ifs: Ifs, out) -> ValidationReport | None:
             f"({report.violation.detail})",
             file=out,
         )
-        return None
-    return report
+        raise _NotMember
+    return source, ifs, report
 
 
 def _cmd_partition(args, out) -> int:
-    source, ifs = _load(args.file)
-    report = _require_member(ifs, out)
-    if report is None:
-        return EXIT_NOT_MEMBER
+    source, ifs, report = _load_member(args, out)
     part = build_partition(ifs, report)
     gds = build_graph(ifs, part)
     doc = {
@@ -288,10 +296,7 @@ def _cmd_partition(args, out) -> int:
 
 
 def _cmd_dim(args, out) -> int:
-    source, ifs = _load(args.file)
-    report = _require_member(ifs, out)
-    if report is None:
-        return EXIT_NOT_MEMBER
+    source, ifs, report = _load_member(args, out)
     part = build_partition(ifs, report)
     gds = build_graph(ifs, part)
     selected = gds
@@ -320,10 +325,7 @@ def _cmd_dim(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
-    source, ifs = _load(args.file)
-    report = _require_member(ifs, out)
-    if report is None:
-        return EXIT_NOT_MEMBER
+    source, ifs, report = _load_member(args, out)
     try:
         point = SymbolicPoint.parse(args.point, ifs)
     except ValueError as exc:
@@ -364,10 +366,7 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_witness(args, out) -> int:
-    source, ifs = _load(args.file)
-    report = _require_member(ifs, out)
-    if report is None:
-        return EXIT_NOT_MEMBER
+    source, ifs, report = _load_member(args, out)
     try:
         request = WitnessRequest.parse(args.target)
     except ValueError as exc:
@@ -393,10 +392,7 @@ def _cmd_witness(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    source, ifs = _load(args.file)
-    report = _require_member(ifs, out)
-    if report is None:
-        return EXIT_NOT_MEMBER
+    source, ifs, report = _load_member(args, out)
     result = run_theorem_harness(
         ifs,
         report,
@@ -490,9 +486,11 @@ def main(argv=None, out=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args, out)
-    except (IfsFileError, OSError, ValueError) as exc:
+    except _NotMember:
+        return EXIT_NOT_MEMBER
+    except (IfsFileError, OSError, ValueError, *_INTERNAL_ERRORS) as exc:
         print(f"error: {exc}", file=out)
-        return EXIT_PARSE
+        return EXIT_UNDECIDED if isinstance(exc, _INTERNAL_ERRORS) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .scc import strongly_connected_components
@@ -116,32 +116,6 @@ def admissible_digits(ifs: Ifs, x: Fraction) -> list[int]:
     return digits
 
 
-@dataclass(frozen=True)
-class ResidualGraph:
-    """Closure of a point under digit-stripping.
-
-    ``adjacency`` maps each explored node to its digit-labelled successors,
-    z = inverse image of the node under the digit's map. Nodes that were
-    discovered but not expanded (resource limits) are in ``unexpanded``;
-    ``exhausted`` is True exactly when that set is empty. Out-degree never
-    exceeds two.
-    """
-
-    root: Fraction
-    adjacency: dict[Fraction, dict[int, Fraction]]
-    unexpanded: frozenset[Fraction]
-    exhausted: bool
-    limit_hit: str | None
-
-    @property
-    def nodes(self) -> set[Fraction]:
-        return set(self.adjacency) | set(self.unexpanded)
-
-    @property
-    def edges(self) -> set[tuple[Fraction, int, Fraction]]:
-        return {(y, d, z) for y, out in self.adjacency.items() for d, z in out.items()}
-
-
 class _Residuals:
     """Residuals of one system, each interned once as an id 0, 1, 2, ...
 
@@ -204,6 +178,59 @@ class _Residuals:
         return depth, expanded, limit_hit
 
 
+@dataclass(frozen=True, eq=False)
+class ResidualGraph:
+    """Closure of a point under digit-stripping: a view of one residual walk.
+
+    From ``root_id`` the walk over ``residuals`` reached the ids in ``depth``
+    and expanded ``expanded``, in order; ``limit_hit`` names the limit that
+    left an id unexpanded, None exactly when ``exhausted``. ``adjacency`` (each
+    expanded node's digit-labelled inverse images) and ``unexpanded`` are built
+    on first use, the verdict ``facts`` once per graph. Out-degree is <= 2.
+    """
+
+    residuals: _Residuals
+    root_id: int
+    depth: dict[int, int]
+    expanded: list[int]
+    limit_hit: str | None
+
+    @property
+    def root(self) -> Fraction:
+        return self.residuals.values[self.root_id]
+
+    @property
+    def exhausted(self) -> bool:
+        return self.limit_hit is None
+
+    @cached_property
+    def adjacency(self) -> dict[Fraction, dict[int, Fraction]]:
+        res, value = self.residuals, self.residuals.values.__getitem__
+        return {value(y): dict(zip(res.labels[y], map(value, res.succ[y]))) for y in self.expanded}
+
+    @cached_property
+    def unexpanded(self) -> frozenset[Fraction]:
+        return frozenset(map(self.residuals.values.__getitem__, self.depth.keys() - self.expanded))
+
+    @property
+    def nodes(self) -> set[Fraction]:
+        return set(map(self.residuals.values.__getitem__, self.depth))
+
+    @property
+    def edges(self) -> set[tuple[Fraction, int, Fraction]]:
+        return {(y, d, z) for y, out in self.adjacency.items() for d, z in out.items()}
+
+    @cached_property
+    def facts(self) -> tuple[bytearray, list[int]]:
+        """``_facts`` of the walk: an unexpanded id gets a self-loop, so pruning never
+        proves it dead; an id outside ``depth`` (from a ``max_nodes`` break) gets none."""
+        succ, depth = self.residuals.succ, self.depth
+        if self.limit_hit:
+            done = set(self.expanded)
+            succ = [out if y in done else (y,) if y in depth else () for y, out in enumerate(succ)]
+        return _facts(succ)
+
+
 def build_residual_graph(
     ifs: Ifs,
     x: Fraction,
@@ -217,11 +244,7 @@ def build_residual_graph(
     exhausted.
     """
     res = _Residuals(ifs, [x], max_nodes, max_depth)
-    depth, expanded, limit_hit = res.walk(res.roots[0])
-    value = res.values.__getitem__
-    adjacency = {value(y): dict(zip(res.labels[y], map(value, res.succ[y]))) for y in expanded}
-    unexpanded = frozenset(map(value, depth.keys() - expanded))
-    return ResidualGraph(x, adjacency, unexpanded, not unexpanded, limit_hit)
+    return ResidualGraph(res, res.roots[0], *res.walk(res.roots[0]))
 
 
 @dataclass(frozen=True)
@@ -263,14 +286,6 @@ class Cardinality:
         if self.kind == "unknown":
             return f"unknown({self.limit or 'limit'})"
         return self.kind
-
-
-def _id_graph(graph: ResidualGraph) -> tuple[dict[Fraction, int], list[list[int]]]:
-    """The graph on ids 0..n-1, successors once per digit; an unexpanded node
-    gets a self-loop, since pruning must never prove it dead."""
-    ids = {y: i for i, y in enumerate(chain(graph.adjacency, graph.unexpanded))}
-    succ = [[ids[z] for z in out.values()] for out in graph.adjacency.values()]
-    return ids, succ + [[i] for i in range(len(succ), len(ids))]
 
 
 def _facts(succ: Sequence[Sequence[int]]) -> tuple[bytearray, list[int]]:
@@ -323,8 +338,7 @@ def classify_cardinality(graph: ResidualGraph) -> Cardinality:
     """
     if not graph.exhausted:
         return Cardinality.unknown(graph.limit_hit)
-    ids, succ = _id_graph(graph)
-    return _verdict(*_facts(succ), ids[graph.root], graph.root)
+    return _verdict(*graph.facts, graph.root_id, graph.root)
 
 
 def classify_many(
@@ -380,24 +394,20 @@ def enumerate_codings(
         raise ValueError("depth must be >= 1")
     if graph is None:
         graph = build_residual_graph(ifs, x, max_nodes, max_depth)
-    adjacency = graph.adjacency
-    ids, succ = _id_graph(graph)
-    walks = _facts(succ)[1]
-    if not walks[ids[graph.root]]:
-        return []
+    walks, res = graph.facts[1], graph.residuals
+    frontier = graph.depth.keys() - graph.expanded if graph.limit_hit else ()
 
     words: list[tuple[int, ...]] = []
-    stack: list[tuple[Fraction, tuple[int, ...]]] = [(graph.root, ())]
+    stack: list[tuple[int, tuple[int, ...]]] = [(graph.root_id, ())]
     while stack:
         y, prefix = stack.pop()
         if len(prefix) == depth:
             words.append(prefix)
             continue
-        if y not in adjacency:
+        if y in frontier:
             continue  # unexpanded frontier: continuation unknown
-        for d in sorted(adjacency[y], reverse=True):
-            z = adjacency[y][d]
-            if walks[ids[z]]:
+        for d, z in zip(reversed(res.labels[y]), reversed(res.succ[y])):
+            if walks[z]:
                 stack.append((z, prefix + (d,)))
     return sorted(words)
 

@@ -121,14 +121,5 @@ class AffineMap:
         """The unique x with map(x) = y."""
         return (y - self.offset) / self.ratio
 
-    def power(self, n: int) -> AffineMap:
-        """n-fold self-composition, n >= 1."""
-        if n < 1:
-            raise ValueError("power requires n >= 1")
-        out = self
-        for _ in range(n - 1):
-            out = out.compose(self)
-        return out
-
     def __str__(self) -> str:
         return f"x -> {format_rational(self.ratio)}*x + {format_rational(self.offset)}"

@@ -216,11 +216,10 @@ def run_theorem_harness(
         gds = build_graph(ifs, part)
         full = solve_dimension(gds, tol)
         reduced = solve_dimension(reduced_system(ifs, part, gds), tol)
-        gap_ok = reduced.value + 10 * tol < full.value
         result.checks.append(
             CheckResult(
                 "strict dimension gap",
-                gap_ok,
+                reduced.bracket[1] < full.bracket[0],  # proved brackets, exact
                 f"single-coding bound {reduced.value:.9f} < attractor {full.value:.9f}",
             )
         )

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from overlapifs import AffineMap, Ifs, evaluate, validate
+from overlapifs import AffineMap, Ifs, admissible_digits, evaluate, validate
 
 DATA = Path(__file__).parent / "data"
 
@@ -215,6 +217,79 @@ def sweep_words(ifs: Ifs, max_preperiod: int = 4, max_period: int = 3, cap: int 
 def member_instances(seed: int, count: int):
     rng = random.Random(seed)
     return [random_member(rng) for _ in range(count)]
+
+
+def reference_residual_graph(ifs: Ifs, x: F, max_nodes: int, max_depth: int) -> SimpleNamespace:
+    """Fraction-keyed breadth-first closure of x: the slow reference for
+    ``build_residual_graph``.
+
+    Each node popped below ``max_depth`` gets its digit-labelled inverse
+    images; a node whose next new successor would pass ``max_nodes`` is left
+    unexpanded, as are the nodes at ``max_depth``. Returns ``root``,
+    ``adjacency`` (in expansion order), ``unexpanded``, ``exhausted``,
+    ``limit_hit``, ``nodes``, ``edges`` and each node's ``depth``.
+    """
+    adjacency: dict = {}
+    depth = {x: 0}
+    queue = deque([x])
+    limit_hit = None
+    while queue:
+        y = queue.popleft()
+        if depth[y] >= max_depth:
+            limit_hit = "max_depth"
+            continue
+        out = {}
+        for d in admissible_digits(ifs, y):
+            z = ifs.map(d).invert(y)
+            if z not in depth:
+                if len(depth) >= max_nodes:
+                    limit_hit = "max_nodes"
+                    break
+                depth[z] = depth[y] + 1
+                queue.append(z)
+            out[d] = z
+        else:
+            adjacency[y] = out
+    unexpanded = frozenset(depth) - frozenset(adjacency)
+    return SimpleNamespace(
+        root=x,
+        adjacency=adjacency,
+        unexpanded=unexpanded,
+        exhausted=not unexpanded,
+        limit_hit=limit_hit if unexpanded else None,
+        nodes=set(depth),
+        edges={(y, d, z) for y, out in adjacency.items() for d, z in out.items()},
+        depth=depth,
+    )
+
+
+def reference_codings(graph, depth: int) -> list[tuple[int, ...]]:
+    """Length-``depth`` digit paths from the root of a Fraction-keyed graph, sorted.
+
+    Iterated dead-end removal never removes an unexpanded node (its onward
+    edges are unknown), and a path stops at an unexpanded node, so on a
+    limited graph only the explored region contributes.
+    """
+    adjacency, frontier = graph.adjacency, graph.unexpanded
+    alive = set(adjacency) | frontier
+    while True:
+        dead = {y for y in alive - frontier if not any(z in alive for z in adjacency[y].values())}
+        if not dead:
+            break
+        alive -= dead
+    words = []
+
+    def extend(y, prefix):
+        if len(prefix) == depth:
+            words.append(prefix)
+        elif y in adjacency:
+            for d, z in adjacency[y].items():
+                if z in alive:
+                    extend(z, prefix + (d,))
+
+    if graph.root in alive:
+        extend(graph.root, ())
+    return sorted(words)
 
 
 def prefix_count_series(graph, depth: int) -> list[int]:

@@ -6,6 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+import overlapifs.cli
+from overlapifs import (
+    CoverViolationError,
+    PartitionInvariantError,
+    SearchCapExceeded,
+    WitnessVerificationError,
+)
 from overlapifs.cli import IfsFileError, main, parse_ifs_file
 
 QUAD_TEXT = """\
@@ -201,6 +208,32 @@ class TestClassifyCommand:
         assert code == 3
 
 
+class TestClassifyGolden:
+    """``classify --json`` reports pinned byte for byte under tests/data/golden."""
+
+    @pytest.mark.parametrize(
+        "system,label,point,flags,exit_code",
+        [
+            ("quad", "finite", "w=1,4,2;p=4", [], 0),
+            ("quad", "countable", "w=1,3,3,2;p=1", [], 0),
+            ("quad", "unknown", "w=;p=1,4", ["--max-nodes", "2"], 2),
+            ("noend", "finite", "w=2,4,1;p=4", [], 0),
+            ("noend", "continuum", "w=2;p=1,4,3", [], 0),
+            ("noend", "unknown", "w=;p=2,4", ["--max-nodes", "2"], 2),
+            ("uneven", "finite", "w=1,3,3,2;p=1", [], 0),
+            ("uneven", "countable", "w=1,3,3;p=2", [], 0),
+            ("uneven", "unknown", "w=;p=1,3,3", ["--max-nodes", "2"], 2),
+        ],
+    )
+    def test_report_bytes(self, data_dir, tmp_path, system, label, point, flags, exit_code):
+        report = tmp_path / "report.json"
+        argv = ["classify", str(data_dir / f"{system}.ifs"), "--point", point, *flags]
+        code, _ = run([*argv, "--json", str(report)])
+        assert code == exit_code
+        golden = data_dir / "golden" / f"classify-{system}-{label}.json"
+        assert report.read_bytes() == golden.read_bytes()
+
+
 class TestWitnessCommand:
     def test_constructs_finite(self, quad_file):
         code, text = run(["witness", quad_file, "--target", "finite:2"])
@@ -264,6 +297,29 @@ class TestCheckedInSystems:
     def test_uneven_file(self, data_dir):
         code, text = run(["dim", str(data_dir / "uneven.ifs")])
         assert code == 0 and "method: bisection" in text
+
+
+class TestInternalErrors:
+    """A failed self-check inside the program exits 2 with an error line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "error,callee,command",
+        [
+            (WitnessVerificationError, "make_witness", ["witness", "--target", "finite:2"]),
+            (PartitionInvariantError, "build_partition", ["partition"]),
+            (CoverViolationError, "build_partition", ["dim"]),
+            (SearchCapExceeded, "validate", ["validate"]),
+        ],
+    )
+    def test_exits_two(self, quad_file, monkeypatch, capsys, error, callee, command):
+        def fail(*args, **kwargs):
+            raise error("self-check failed")
+
+        monkeypatch.setattr(overlapifs.cli, callee, fail)
+        code, text = run([command[0], quad_file, *command[1:]])
+        assert code == 2
+        assert "error: self-check failed" in text.splitlines()
+        assert "Traceback" not in text + capsys.readouterr().err
 
 
 class TestUsage:

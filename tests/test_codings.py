@@ -5,15 +5,22 @@ from fractions import Fraction as F
 
 import pytest
 
+import overlapifs.codings
 from conftest import (
+    noend_maps,
     oracle_classify,
     prefix_count_series,
+    quad_maps,
     random_member,
     random_unequal_member,
+    reference_codings,
+    reference_residual_graph,
     sweep_words,
+    uneven_maps,
 )
 from overlapifs import (
     Cardinality,
+    Ifs,
     PointNotInAttractorError,
     SymbolicPoint,
     UnreachableTargetError,
@@ -28,6 +35,7 @@ from overlapifs import (
     make_witness,
     symbolic_point,
 )
+from overlapifs.codings import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES
 
 
 class TestEvaluate:
@@ -264,6 +272,72 @@ class TestEnumerate:
         full = set(enumerate_codings(quad, F(1, 6), 3))
         limited = set(enumerate_codings(quad, F(1, 6), 3, max_nodes=2))
         assert limited <= full
+
+
+class TestGraphView:
+    """The id-keyed view of one walk against the Fraction-keyed reference walk."""
+
+    @staticmethod
+    def system(name: str) -> Ifs:
+        named = {"quad": quad_maps, "noend": noend_maps, "uneven": uneven_maps}
+        if name in named:
+            return Ifs.from_maps(named[name]())
+        kind, seed = name.split("-")
+        rng = random.Random(int(seed))
+        return random_member(rng)[0] if kind == "member" else random_unequal_member(rng)
+
+    @pytest.mark.parametrize(
+        "name", ["quad", "noend", "uneven", "member-5", "member-6", "unequal-7", "unequal-8"]
+    )
+    def test_matches_reference_at_every_limit(self, name):
+        ifs = self.system(name)
+        rng = random.Random(41)
+        points = {evaluate(ifs, (), (1, ifs.m)), evaluate(ifs, (1,), (ifs.m,))}
+        for _ in range(6):
+            pre = [rng.randint(1, ifs.m) for _ in range(rng.randint(0, 4))]
+            per = [rng.randint(1, ifs.m) for _ in range(rng.randint(1, 3))]
+            points.add(evaluate(ifs, pre, per))
+        if name == "quad":
+            points |= {F(1, 2), F(9, 25)}  # a dead root, a dead branch
+        for x in sorted(points):
+            full = reference_residual_graph(ifs, x, DEFAULT_MAX_NODES, DEFAULT_MAX_DEPTH)
+            for max_nodes in range(1, len(full.nodes) + 2):
+                for max_depth in range(1, max(full.depth.values()) + 2):
+                    g = build_residual_graph(ifs, x, max_nodes, max_depth)
+                    ref = reference_residual_graph(ifs, x, max_nodes, max_depth)
+                    assert g.root == ref.root
+                    assert g.nodes == ref.nodes
+                    assert g.edges == ref.edges
+                    assert g.unexpanded == ref.unexpanded
+                    assert (g.exhausted, g.limit_hit) == (ref.exhausted, ref.limit_hit)
+                    assert list(g.adjacency.items()) == list(ref.adjacency.items())
+                    for k in (1, 4):
+                        assert enumerate_codings(ifs, x, k, graph=g) == reference_codings(ref, k)
+
+    def test_node_limit_breaks_an_expansion(self, quad):
+        # 1/6 and then 5/6 each have two new inverse images: with room for two
+        # nodes the second image of each is interned but never reached, and
+        # neither node is expanded
+        g = build_residual_graph(quad, F(1, 6), max_nodes=2)
+        assert g.residuals.values == [F(1, 6), F(5, 6), F(1, 30), F(29, 30)]
+        assert g.depth == {0: 0, 1: 1} and g.expanded == []
+        assert g.adjacency == {} and g.unexpanded == {F(1, 6), F(5, 6)}
+        assert enumerate_codings(quad, F(1, 6), 1, graph=g) == []
+        assert classify_cardinality(g) == Cardinality.unknown("max_nodes")
+
+    def test_one_tarjan_pass_per_graph(self, quad, monkeypatch):
+        calls = []
+        tarjan = overlapifs.codings.strongly_connected_components
+
+        def counted(succ):
+            calls.append(len(succ))
+            return tarjan(succ)
+
+        monkeypatch.setattr(overlapifs.codings, "strongly_connected_components", counted)
+        g = build_residual_graph(quad, F(109, 625))
+        assert classify_cardinality(g) == Cardinality.finite(2)
+        assert enumerate_codings(quad, g.root, 4, graph=g)
+        assert len(calls) == 1
 
 
 class TestPrefixForcing:

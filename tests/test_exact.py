@@ -135,13 +135,6 @@ class TestAffineMap:
         assert f.invert(y) == expected
         assert f(f.invert(y)) == y
 
-    def test_power(self):
-        f = AffineMap(F(1, 5), F(4, 5))
-        assert f.power(1) == f
-        assert f.power(3) == f.compose(f).compose(f)
-        with pytest.raises(ValueError):
-            f.power(0)
-
 
 _ratios = st.fractions(min_value=F(1, 50), max_value=F(49, 50), max_denominator=50)
 _coords = st.fractions(min_value=F(-10), max_value=F(10), max_denominator=60)

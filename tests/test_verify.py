@@ -1,9 +1,13 @@
 """Theorem harnesses and the dichotomy sweep at reduced scale."""
 
+from fractions import Fraction as F
+
 import pytest
 
+import overlapifs.verify
 from conftest import sweep_words
 from overlapifs import (
+    DimensionResult,
     build_residual_graph,
     classify_cardinality,
     dichotomy_sweep,
@@ -54,6 +58,31 @@ class TestTheoremThree:
     def test_noend(self, noend, noend_report):
         result = run_theorem_harness(noend, noend_report, 3)
         assert result.passed
+
+    @pytest.mark.parametrize(
+        "reduced,full,expected",
+        [
+            # midpoints 0.15 apart, but the proved brackets overlap: no proof of a gap
+            ((F(2, 5), F(3, 5)), (F(11, 20), F(3, 4)), False),
+            # midpoints 2e-13 apart, within the old 10 * tol margin, brackets disjoint
+            ((F(1, 2), F(1, 2) + F(1, 10**13)), (F(1, 2) + F(2, 10**13), F(1, 2) + F(3, 10**13)), True),
+        ],
+    )
+    def test_strict_gap_is_decided_by_the_brackets(
+        self, quad, quad_report, monkeypatch, reduced, full, expected
+    ):
+        def result(bracket):
+            return DimensionResult(float(sum(bracket) / 2), bracket, 1, "bisection")
+
+        # solve_dimension runs on the full system first, then on the reduced one
+        answers = iter([result(full), result(reduced)])
+        monkeypatch.setattr(overlapifs.verify, "solve_dimension", lambda gds, tol: next(answers))
+        tol = 1e-12
+        float_rule = result(reduced).value + 10 * tol < result(full).value
+        assert float_rule != expected
+        checks = run_theorem_harness(quad, quad_report, 3, tol=tol).checks
+        gap = next(c for c in checks if c.name == "strict dimension gap")
+        assert gap.passed == expected
 
 
 class TestSweep:
