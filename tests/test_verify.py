@@ -65,7 +65,11 @@ class TestTheoremThree:
             # midpoints 0.15 apart, but the proved brackets overlap: no proof of a gap
             ((F(2, 5), F(3, 5)), (F(11, 20), F(3, 4)), False),
             # midpoints 2e-13 apart, within the old 10 * tol margin, brackets disjoint
-            ((F(1, 2), F(1, 2) + F(1, 10**13)), (F(1, 2) + F(2, 10**13), F(1, 2) + F(3, 10**13)), True),
+            (
+                (F(1, 2), F(1, 2) + F(1, 10**13)),
+                (F(1, 2) + F(2, 10**13), F(1, 2) + F(3, 10**13)),
+                True,
+            ),
         ],
     )
     def test_strict_gap_is_decided_by_the_brackets(
