@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -30,7 +29,7 @@ from .codings import (
 )
 from .dimension import DEFAULT_TOL, CoverViolationError, PartitionInvariantError
 from .dimension import build_graph, build_partition, reduced_system, solve_dimension, to_dot
-from .exact import AffineMap, format_rational, parse_rational
+from .exact import AffineMap, _Value, format_rational, parse_rational
 from .system import Ifs, SearchCapExceeded, ValidationReport, end_case, validate
 from .verify import run_theorem_harness
 
@@ -59,8 +58,7 @@ class IfsFileError(ValueError):
         super().__init__(f"{where}{detail}")
 
 
-@dataclass(frozen=True)
-class IfsFile:
+class IfsFile(_Value):
     """Parsed description file: maps in file order plus an optional name."""
 
     maps: tuple[AffineMap, ...]

@@ -11,11 +11,11 @@ counting questions to graph structure.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .exact import _Value, _setattr
 from .scc import strongly_connected_components
 from .system import Ifs, ValidationReport, end_case
 
@@ -58,8 +58,7 @@ class WitnessVerificationError(RuntimeError):
     """A constructed witness failed its classification self-check."""
 
 
-@dataclass(frozen=True)
-class SymbolicPoint:
+class SymbolicPoint(_Value):
     """Eventually periodic digit word and the exact point it encodes.
 
     ``value`` is the preperiod composition applied to the fixed point of the
@@ -178,8 +177,7 @@ class _Residuals:
         return depth, expanded, limit_hit
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualGraph:
+class ResidualGraph(_Value):
     """Closure of a point under digit-stripping: a view of one residual walk.
 
     From ``root_id`` the walk over ``residuals`` reached the ids in ``depth``
@@ -194,6 +192,9 @@ class ResidualGraph:
     depth: dict[int, int]
     expanded: list[int]
     limit_hit: str | None
+
+    __eq__ = object.__eq__  # identity: each graph is its own walk
+    __hash__ = object.__hash__
 
     @property
     def root(self) -> Fraction:
@@ -247,8 +248,7 @@ def build_residual_graph(
     return ResidualGraph(res, res.roots[0], *res.walk(res.roots[0]))
 
 
-@dataclass(frozen=True)
-class Cardinality:
+class Cardinality(_Value):
     """How many codings a point has.
 
     ``kind`` is one of "finite", "countable", "continuum", "unknown";
@@ -257,8 +257,13 @@ class Cardinality:
     """
 
     kind: str
-    count: int | None = None
-    limit: str | None = None
+    count: int | None
+    limit: str | None
+
+    def __init__(self, kind: str, count: int | None = None, limit: str | None = None) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "count", count)
+        _setattr(self, "limit", limit)
 
     @classmethod
     def finite(cls, k: int) -> Cardinality:
@@ -412,8 +417,7 @@ def enumerate_codings(
     return sorted(words)
 
 
-@dataclass(frozen=True)
-class WitnessRequest:
+class WitnessRequest(_Value):
     """Requested coding count: finite(k), countable, or continuum."""
 
     kind: str

@@ -11,12 +11,11 @@ exchange codings gives the subsystem bounding the single-coding set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Interval, format_rational
+from .exact import Interval, _Value, format_rational
 from .scc import strongly_connected_components
 from .system import Ifs, ValidationReport
 
@@ -55,8 +54,7 @@ class EmptyReducedSystemError(ValueError):
     """Removing the switch cells deleted every vertex."""
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Value):
     """Sorted cut points with the admissible consecutive pairs.
 
     Pair i (1-based) is the interval [points[i-1], points[i]]. ``cover``
@@ -140,8 +138,7 @@ def build_partition(ifs: Ifs, report: ValidationReport) -> Partition:
     return Partition(points=ordered, admissible=tuple(admissible), cover=cover)
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(_Value):
     """One admissible cell together with the map that expands it."""
 
     pair_index: int
@@ -150,8 +147,7 @@ class Vertex:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class GraphDirectedSystem:
+class GraphDirectedSystem(_Value):
     """Vertices (admissible cells) and 0/1 edge counts between them.
 
     counts[p][q] = 1 when expanding vertex p's cell by its covering map's
@@ -295,8 +291,7 @@ def spectral_radius(matrix, tol: float = 1e-9) -> float:
     return float(lo)
 
 
-@dataclass(frozen=True)
-class DimensionResult:
+class DimensionResult(_Value):
     """Dimension value with its certified rational bracket.
 
     The bracket, not the float, is the contract: the exact test proves the

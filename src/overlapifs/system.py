@@ -10,13 +10,12 @@ of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .exact import AffineMap, Interval, format_rational
+from .exact import AffineMap, Interval, _Value, format_rational
 
 __all__ = [
     "Condition",
@@ -82,8 +81,7 @@ def convex_hull(maps: Sequence[AffineMap]) -> Interval:
     return Interval(lo, hi)
 
 
-@dataclass(frozen=True)
-class Ifs:
+class Ifs(_Value):
     """An ordered list of similitudes together with the derived convex hull.
 
     Maps are indexed by 1-based digits throughout, matching the alphabet of
@@ -137,8 +135,7 @@ class Ifs:
         return out
 
 
-@dataclass(frozen=True)
-class OverlapSpec:
+class OverlapSpec(_Value):
     """Data of one overlapping neighbour pair (index, index + 1).
 
     ``composed`` is the common map sending the hull exactly onto the overlap;
@@ -154,14 +151,12 @@ class OverlapSpec:
     composed: AffineMap
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Value):
     condition: Condition
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Value):
     member: bool
     violation: Violation | None
     overlaps: tuple[OverlapSpec, ...]
@@ -176,8 +171,7 @@ class ValidationReport:
         return None
 
 
-@dataclass(frozen=True)
-class EndCase:
+class EndCase(_Value):
     """Which of the two extreme neighbour pairs overlap."""
 
     left_overlaps: bool

@@ -7,7 +7,6 @@ command line and the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -29,6 +28,7 @@ from .dimension import (
     reduced_system,
     solve_dimension,
 )
+from .exact import _Value
 from .system import Ifs, ValidationReport, end_case
 
 __all__ = [
@@ -53,19 +53,34 @@ PER_K_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
-class HarnessResult:
+class HarnessResult(_Value):
+    """Mutable, unlike the other value classes: a harness appends as it runs."""
+
     theorem: int
     applicable: bool
-    checks: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    checks: list[CheckResult]
+    notes: list[str]
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        theorem: int,
+        applicable: bool,
+        checks: list[CheckResult] | None = None,
+        notes: list[str] | None = None,
+    ) -> None:
+        self.theorem, self.applicable = theorem, applicable
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:
@@ -216,13 +231,10 @@ def run_theorem_harness(
         gds = build_graph(ifs, part)
         full = solve_dimension(gds, tol)
         reduced = solve_dimension(reduced_system(ifs, part, gds), tol)
-        result.checks.append(
-            CheckResult(
-                "strict dimension gap",
-                reduced.bracket[1] < full.bracket[0],  # proved brackets, exact
-                f"single-coding bound {reduced.value:.9f} < attractor {full.value:.9f}",
-            )
-        )
+        gap = reduced.bracket[1] < full.bracket[0]  # proved brackets, exact
+        relation = "<" if gap else "not proved below"
+        detail = f"single-coding bound {reduced.value:.9f} {relation} attractor {full.value:.9f}"
+        result.checks.append(CheckResult("strict dimension gap", gap, detail))
         result.notes.append(MEASURE_NOTE)
         result.notes.append(PER_K_NOTE)
 

@@ -20,6 +20,7 @@ from overlapifs import (
     Ifs,
     Interval,
     PartitionInvariantError,
+    ValidationReport,
     Vertex,
     build_graph,
     build_partition,
@@ -139,11 +140,16 @@ class TestPartition:
                 assert g.invert(cell.hi) in points
 
     def test_count_mismatch_raises(self, quad, quad_report):
-        import dataclasses
-
         # dropping the right tail leaves eight distinct points against an
         # expected count of seven, which the builder must refuse
-        doctored = dataclasses.replace(quad_report, u_max=0)
+        doctored = ValidationReport(
+            member=quad_report.member,
+            violation=quad_report.violation,
+            overlaps=quad_report.overlaps,
+            disjoint_pairs=quad_report.disjoint_pairs,
+            u_max=0,
+            v_max=quad_report.v_max,
+        )
         with pytest.raises(PartitionInvariantError):
             build_partition(quad, doctored)
 
@@ -174,21 +180,24 @@ class TestBuildGraph:
     def test_window_tiling(self, noend, noend_report):
         # each cell is tiled by the covering map's images of the cells and
         # gaps inside its window; lengths must add up exactly
+        def length(iv):
+            return iv.hi - iv.lo
+
         part = build_partition(noend, noend_report)
         gds = build_graph(noend, part)
         for p, vertex in enumerate(gds.vertices):
             g = noend.map(vertex.digit)
             window = Interval(g.invert(vertex.cell.lo), g.invert(vertex.cell.hi))
             covered = sum(
-                gds.vertices[q].cell.length for q in range(gds.size) if gds.counts[p][q]
+                length(gds.vertices[q].cell) for q in range(gds.size) if gds.counts[p][q]
             )
             gaps_inside = sum(
-                part.pair_interval(i).length
+                length(part.pair_interval(i))
                 for i in part.gap_pairs()
                 if window.contains_interval(part.pair_interval(i))
             )
-            assert covered + gaps_inside == window.length
-            assert vertex.ratio * window.length == vertex.cell.length
+            assert covered + gaps_inside == length(window)
+            assert vertex.ratio * length(window) == length(vertex.cell)
 
     def test_row_sums_match_hand_tiling(self, noend, noend_report):
         gds = build_graph(noend, build_partition(noend, noend_report))
@@ -466,8 +475,12 @@ class TestRandomMembers:
                         assert root <= mpmath.mpf(hi.numerator) / hi.denominator
 
 
-def test_import_leaves_numpy_out():
+@pytest.mark.parametrize("module", ["overlapifs", "overlapifs.cli"])
+def test_import_leaves_heavy_modules_out(module):
+    # numpy is a test reference only; dataclasses would pull in inspect, ast and dis
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, overlapifs; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = f"import sys, {module}; print(*sorted({{'numpy', 'dataclasses', 'inspect'}} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []

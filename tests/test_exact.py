@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from overlapifs import AffineMap, Interval, format_rational, parse_rational
+from overlapifs import (
+    AffineMap,
+    Cardinality,
+    CheckResult,
+    HarnessResult,
+    Ifs,
+    Interval,
+    WitnessRequest,
+    format_rational,
+    parse_rational,
+)
 
 
 class TestParseRational:
@@ -46,7 +56,6 @@ class TestInterval:
     def test_point_interval(self):
         iv = Interval(F(1, 3), F(1, 3))
         assert iv.is_point
-        assert iv.length == 0
         assert iv.contains(F(1, 3))
 
     def test_intersect_overlap(self):
@@ -134,6 +143,83 @@ class TestAffineMap:
         f = AffineMap(ratio, offset)
         assert f.invert(y) == expected
         assert f(f.invert(y)) == y
+
+
+class TestValueClasses:
+    """The shared base of the value classes: construction, equality, freezing."""
+
+    def test_positional_keyword_and_default_construction(self):
+        assert CheckResult("gap", True) == CheckResult(name="gap", passed=True, detail="")
+        assert CheckResult("gap", False, "why").detail == "why"
+        assert Interval(F(0), F(1)) == Interval(hi=F(1), lo=F(0))
+        assert AffineMap(F(1, 2), F(0)) == AffineMap(offset=F(0), ratio=F(1, 2))
+        assert Cardinality("finite", 2) == Cardinality.finite(2)
+        assert Cardinality("countable") == Cardinality(kind="countable", count=None, limit=None)
+        assert WitnessRequest("finite", count=3) == WitnessRequest.finite(3)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CheckResult("gap"),
+            lambda: CheckResult("gap", True, "why", "extra"),
+            lambda: CheckResult("gap", True, colour="red"),
+            lambda: CheckResult("gap", True, name="again"),
+            lambda: Interval(F(0)),
+            lambda: Interval(F(0), F(1), width=F(1)),
+            lambda: Cardinality(),
+            lambda: Cardinality("finite", size=2),
+        ],
+    )
+    def test_missing_or_unknown_field_raises(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_checks_still_run(self):
+        with pytest.raises(ValueError):
+            Interval(F(1), F(0))
+        with pytest.raises(ValueError):
+            Interval(lo=F(1), hi=F(0))
+        with pytest.raises(ValueError):
+            WitnessRequest("finite")
+
+    def test_equal_values_hash_equal(self):
+        assert hash(Interval(F(1, 3), F(1, 2))) == hash(Interval(F(2, 6), F(3, 6)))
+        assert hash(Cardinality.finite(4)) == hash(Cardinality("finite", count=4))
+        assert {Cardinality.continuum(): 1}[Cardinality("continuum")] == 1
+        assert Cardinality.finite(2) != Cardinality.finite(3)
+
+    def test_classes_never_compare_equal(self):
+        a, b = F(1, 2), F(3, 4)
+        assert Interval(a, b) != AffineMap(a, b)
+        assert Interval(a, b) != (a, b)
+
+    def test_repr_names_the_fields(self):
+        assert repr(CheckResult("gap", True)) == "CheckResult(name='gap', passed=True, detail='')"
+
+    def test_fields_are_frozen(self):
+        iv = Interval(F(0), F(1))
+        with pytest.raises(AttributeError):
+            iv.lo = F(1, 2)
+        with pytest.raises(AttributeError):
+            del iv.hi
+        with pytest.raises(AttributeError):
+            Cardinality.finite(2).count = 3
+        assert iv == Interval(F(0), F(1))
+
+    def test_harness_results_are_mutable_and_separate(self):
+        first, second = HarnessResult(1, True), HarnessResult(theorem=1, applicable=True)
+        first.checks.append(CheckResult("gap", True))
+        first.notes.append("note")
+        first.applicable = False
+        assert second.checks == [] and second.notes == [] and second.applicable
+        with pytest.raises(TypeError):
+            hash(second)
+
+    def test_ifs_pieces_is_cached(self):
+        ifs = Ifs.from_maps([AffineMap(F(1, 2), F(0)), AffineMap(F(1, 2), F(1, 2))])
+        assert ifs.pieces is ifs.pieces
+        assert ifs.pieces == (Interval(F(0), F(1, 2)), Interval(F(1, 2), F(1)))
+        assert ifs == Ifs(ifs.maps, ifs.hull)  # the cached value stays out of equality
 
 
 _ratios = st.fractions(min_value=F(1, 50), max_value=F(49, 50), max_denominator=50)

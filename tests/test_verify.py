@@ -87,6 +87,7 @@ class TestTheoremThree:
         checks = run_theorem_harness(quad, quad_report, 3, tol=tol).checks
         gap = next(c for c in checks if c.name == "strict dimension gap")
         assert gap.passed == expected
+        assert ("<" in gap.detail) == expected
 
 
 class TestSweep:
