@@ -7,7 +7,6 @@ verdict, a failed harness or internal check, and 3 for parse or usage errors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -27,7 +26,8 @@ from .codings import (
     enumerate_codings,
     make_witness,
 )
-from .dimension import DEFAULT_TOL, CoverViolationError, PartitionInvariantError
+from .dimension import DEFAULT_TOL, CoverViolationError, EmptyReducedSystemError
+from .dimension import PartitionInvariantError
 from .dimension import build_graph, build_partition, reduced_system, solve_dimension, to_dot
 from .exact import AffineMap, _Value, format_rational, parse_rational
 from .system import Ifs, SearchCapExceeded, ValidationReport, end_case, validate
@@ -42,9 +42,10 @@ EXIT_PARSE = 3
 
 _NINE_PLACES = Decimal("0.000000001")
 
-# A failed self-check inside the program: no verdict, so exit 2, not a traceback.
+# A failed self-check, or no reduced system to solve: no verdict, so exit 2, not a traceback.
 _INTERNAL_ERRORS = (
-    WitnessVerificationError, PartitionInvariantError, CoverViolationError, SearchCapExceeded
+    WitnessVerificationError, PartitionInvariantError, CoverViolationError, SearchCapExceeded,
+    EmptyReducedSystemError,
 )
 
 
@@ -418,7 +419,8 @@ def _cmd_verify(args, out) -> int:
     return EXIT_OK if result.passed else EXIT_UNDECIDED
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # only the command line needs it, not every importer of parse_ifs_file
     parser = argparse.ArgumentParser(
         prog="overlapifs",
         description="Analyze overlapping one-dimensional self-similar systems.",

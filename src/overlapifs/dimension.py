@@ -11,6 +11,7 @@ exchange codings gives the subsystem bounding the single-coding set.
 from __future__ import annotations
 
 import math
+import operator
 from decimal import Context
 from fractions import Fraction
 from typing import Sequence
@@ -235,7 +236,7 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def _below(matrix: Sequence[Sequence[int]], bound: int) -> bool:
+def _below(matrix: Sequence[Sequence[int]], bound: int, divide=operator.floordiv) -> bool:
     """Exactly whether rho(matrix) < bound, for a nonnegative integer matrix.
 
     bound*I - matrix is a Z-matrix, and a Z-matrix is a nonsingular
@@ -255,7 +256,7 @@ def _below(matrix: Sequence[Sequence[int]], bound: int) -> bool:
             row_i = a[i]
             factor = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // previous
+                row_i[j] = divide(row_i[j] * pivot - factor * row_k[j], previous)
         previous = pivot
     return True
 
@@ -296,8 +297,8 @@ class DimensionResult(_Value):
 
     The bracket, not the float, is the contract: the exact test proves the
     weighted spectral radius >= 1 at the lower end and < 1 at the upper end,
-    and the width never exceeds the requested tolerance. ``value`` is the
-    midpoint, ``iterations`` counts the exponents tested.
+    and the width is at most the tolerance. ``value`` is the midpoint, and
+    ``iterations`` counts the exponents tested exactly, not the float ones.
     """
 
     value: float
@@ -324,17 +325,26 @@ def _power_bounds(ratios: Sequence[Fraction], digits: int):
     return bounds
 
 
+def _float_guess(gds: GraphDirectedSystem, lo: float, hi: float, tol: float) -> float:
+    """Float bisection on s with the pivot test of ``_below``: proposes s*, proves nothing."""
+    ratios = [float(v.ratio) for v in gds.vertices]
+    while hi - lo > tol / 4 and lo < (s := (lo + hi) / 2) < hi:
+        weighted = [[r**s * c for c in row] for r, row in zip(ratios, gds.counts)]
+        lo, hi = (lo, s) if _below(weighted, 1.0, operator.truediv) else (s, hi)
+    return (lo + hi) / 2
+
+
 def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> DimensionResult:
     """Bracket the exponent s* where the weighted spectral radius equals one.
 
     Row p of the edge matrix is weighted by r_p**s. The radius decreases
-    strictly in s, so s <= s* exactly when it is at least one. Each step
-    encloses every r**s between integers over 10**P, P about 15 digits
-    beyond ``tol``, and applies the exact test to both enclosing matrices:
-    a lower one not below one proves s <= s*, an upper one below one proves
-    s > s*. When neither holds, s* lies within about 10**-P of s, and the
-    ends of the ``tol``-wide bracket centred on s are proved instead, at
-    higher precision if need be.
+    strictly in s, so s <= s* exactly when it is at least one. The exact
+    test encloses every r**s between integers over 10**P, P about 15 digits
+    beyond ``tol``: a lower enclosure not below one proves s <= s*, an upper
+    one below one proves s > s*. Around a float bisection's s*, and around
+    any midpoint neither decides (s* is then within about 10**-P), the ends
+    of the ``tol``-wide bracket are proved, at higher precision if need be;
+    exact bisection goes on from whatever was proved.
     """
     check_tol(tol)
     if gds.size == 0:
@@ -358,12 +368,15 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
             return 1
         return 0 if _below(low, 10**digits) else -1
 
-    def decide(s: Fraction) -> int:
-        nonlocal digits, bounds
-        while (verdict := side(s)) == 0:
-            digits += GUARD_DIGITS
-            bounds = _power_bounds(ratios, digits)
-        return verdict
+    def narrow(s: Fraction) -> None:
+        """Prove each end of the ``tol``-wide bracket centred on s that lies inside."""
+        nonlocal digits, bounds, lo, hi
+        for end in (s - width / 2, s + width / 2):
+            if lo < end < hi:
+                while (verdict := side(end)) == 0:
+                    digits += GUARD_DIGITS
+                    bounds = _power_bounds(ratios, digits)
+                lo, hi = (end, hi) if verdict < 0 else (lo, end)
 
     if _below(gds.counts, 1):
         # Acyclic counts: the radius is zero at every exponent.
@@ -372,13 +385,13 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
     lo, hi = Fraction(0), Fraction(1)
     while max(v.ratio**hi * sum(row) for v, row in zip(gds.vertices, gds.counts)) >= 1:
         hi *= 2
+    if math.isfinite(guess := _float_guess(gds, float(lo), float(hi), tol)):
+        narrow(Fraction(guess))
     while hi - lo > width:
         s = (lo + hi) / 2
         verdict = side(s)
         if verdict == 0:
-            for end in (s - width / 2, s + width / 2):
-                if lo < end < hi:
-                    lo, hi = (end, hi) if decide(end) < 0 else (lo, end)
+            narrow(s)
         elif verdict < 0:
             lo = s
         else:

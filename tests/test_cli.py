@@ -9,6 +9,7 @@ import pytest
 import overlapifs.cli
 from overlapifs import (
     CoverViolationError,
+    EmptyReducedSystemError,
     PartitionInvariantError,
     SearchCapExceeded,
     WitnessVerificationError,
@@ -309,6 +310,7 @@ class TestInternalErrors:
             (PartitionInvariantError, "build_partition", ["partition"]),
             (CoverViolationError, "build_partition", ["dim"]),
             (SearchCapExceeded, "validate", ["validate"]),
+            (EmptyReducedSystemError, "reduced_system", ["dim", "--set", "U1"]),
         ],
     )
     def test_exits_two(self, quad_file, monkeypatch, capsys, error, callee, command):

@@ -1,6 +1,7 @@
 """Partition, cell digraph, spectral radius and the dimension solver."""
 
 import math
+import operator
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import overlapifs.dimension
 from conftest import member_instances, mpmath_dimension, random_unequal_member
 from overlapifs import (
     AffineMap,
@@ -31,6 +33,7 @@ from overlapifs import (
     to_dot,
     validate,
 )
+from overlapifs.dimension import _below
 
 QUAD_MATRIX = (
     (1, 1, 1, 1, 0, 0),
@@ -59,6 +62,33 @@ NOEND_REDUCED = (
     (0, 1, 1, 1),
     (1, 1, 1, 1),
 )
+
+
+def known_miss_reduced():
+    """Reduced system whose bracket once excluded its root.
+
+    f1 = x/5, f2 = x/9 + 8/45, f3 = x/3 + 2/3; f1 f3 f3 = f2 f1.
+    """
+    ifs = Ifs.from_maps(
+        [AffineMap(F(1, 5), F(0)), AffineMap(F(1, 9), F(8, 45)), AffineMap(F(1, 3), F(2, 3))]
+    )
+    part = build_partition(ifs, validate(ifs))
+    return reduced_system(ifs, part, build_graph(ifs, part))
+
+
+def solved_systems(ifs):
+    """The attractor's system E and the reduced system bounding U1."""
+    part = build_partition(ifs, validate(ifs))
+    full = build_graph(ifs, part)
+    return full, reduced_system(ifs, part, full)
+
+
+def assert_holds(bracket, root, tol):
+    lo, hi = bracket
+    assert hi - lo <= F(tol)
+    with mpmath.workdps(50):
+        assert mpmath.mpf(lo.numerator) / lo.denominator <= root
+        assert root <= mpmath.mpf(hi.numerator) / hi.denominator
 
 
 def exact_char_poly(matrix):
@@ -368,12 +398,7 @@ class TestSolveDimension:
             assert hi - lo <= F(tol)
 
     def test_known_miss_reduced_bracket(self):
-        # f1 = x/5, f2 = x/9 + 8/45, f3 = x/3 + 2/3; f1 f3 f3 = f2 f1
-        ifs = Ifs.from_maps(
-            [AffineMap(F(1, 5), F(0)), AffineMap(F(1, 9), F(8, 45)), AffineMap(F(1, 3), F(2, 3))]
-        )
-        part = build_partition(ifs, validate(ifs))
-        lo, hi = solve_dimension(reduced_system(ifs, part, build_graph(ifs, part)), 1e-12).bracket
+        lo, hi = solve_dimension(known_miss_reduced(), 1e-12).bracket
         assert lo <= F("0.59061568915063755333") <= hi
         assert hi - lo <= F(1e-12)
 
@@ -382,6 +407,59 @@ class TestSolveDimension:
         lo, hi = solve_dimension(gds, 1e-16).bracket
         assert lo <= F("0.58671219919039537789") <= hi
         assert hi - lo <= F(1e-16)
+
+
+class TestFloatGuess:
+    """The float bisection only proposes where the exact test runs; it proves nothing."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, quad, uneven):
+        systems = [solved_systems(quad)[0], *solved_systems(uneven), known_miss_reduced()]
+        return [(gds, mpmath_dimension(gds.counts, [v.ratio for v in gds.vertices])) for gds in systems]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize(
+        "propose",
+        [
+            lambda root: 0.0,
+            lambda root: 1.0,
+            lambda root: math.nan,
+            lambda root: root - 1e-6,
+            lambda root: root + 1e-6,
+            lambda root: -3.0,
+            lambda root: 7.5,
+            lambda root: math.inf,
+        ],
+        ids=["zero", "one", "nan", "below", "above", "under-lo", "over-hi", "inf"],
+    )
+    def test_any_proposal_ends_in_a_proved_bracket(self, cases, monkeypatch, propose, tol):
+        for gds, root in cases:
+            guess = propose(float(root))
+            monkeypatch.setattr(overlapifs.dimension, "_float_guess", lambda *args: guess)
+            assert_holds(solve_dimension(gds, tol).bracket, root, tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-15])
+    def test_exact_step_budget(self, quad, noend, uneven, tol):
+        rng = random.Random(2024)
+        members = [quad, noend, uneven] + [random_unequal_member(rng) for _ in range(30)]
+        for ifs in members:
+            for gds in solved_systems(ifs):
+                assert solve_dimension(gds, tol).iterations <= 4
+
+    def test_float_pivot_test_agrees_with_exact(self):
+        rng = random.Random(77)
+        compared = 0
+        while compared < 300:
+            n = rng.randint(1, 6)
+            matrix = [[rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+            bound = rng.randint(1, 9)
+            rho = max(abs(np.linalg.eigvals(np.array(matrix, dtype=float))))
+            if abs(rho - bound) <= 1e-6:
+                continue
+            floats = [[float(x) for x in row] for row in matrix]
+            assert _below(matrix, bound) == _below(floats, float(bound), operator.truediv)
+            assert _below(matrix, bound) == (rho < bound)
+            compared += 1
 
 
 class TestReducedSystem:
@@ -468,19 +546,17 @@ class TestRandomMembers:
             for gds in (full, reduced_system(ifs, part, full)):
                 root = mpmath_dimension(gds.counts, [v.ratio for v in gds.vertices])
                 for tol in (1e-9, 1e-12):
-                    lo, hi = solve_dimension(gds, tol).bracket
-                    assert hi - lo <= F(tol)
-                    with mpmath.workdps(50):
-                        assert mpmath.mpf(lo.numerator) / lo.denominator <= root
-                        assert root <= mpmath.mpf(hi.numerator) / hi.denominator
+                    assert_holds(solve_dimension(gds, tol).bracket, root, tol)
 
 
 @pytest.mark.parametrize("module", ["overlapifs", "overlapifs.cli"])
 def test_import_leaves_heavy_modules_out(module):
-    # numpy is a test reference only; dataclasses would pull in inspect, ast and dis
+    # numpy is a test reference only; dataclasses would pull in inspect, ast and dis;
+    # argparse (and gettext with it) is for main alone, not for parse_ifs_file
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, {module}; print(*sorted({{'numpy', 'dataclasses', 'inspect'}} & set(sys.modules)))"
+    heavy = "{'numpy', 'dataclasses', 'inspect', 'argparse', 'gettext'}"
+    code = f"import sys, {module}; print(*sorted({heavy} & set(sys.modules)))"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == []
