@@ -28,6 +28,7 @@ from .codings import (
 from .dimension import (
     CoverViolationError,
     DimensionResult,
+    EmptyGraphError,
     EmptyReducedSystemError,
     GraphDirectedSystem,
     Partition,

@@ -26,7 +26,7 @@ from .codings import (
     enumerate_codings,
     make_witness,
 )
-from .dimension import DEFAULT_TOL, CoverViolationError, EmptyReducedSystemError
+from .dimension import DEFAULT_TOL, CoverViolationError, EmptyGraphError
 from .dimension import PartitionInvariantError
 from .dimension import build_graph, build_partition, reduced_system, solve_dimension, to_dot
 from .exact import AffineMap, _Value, format_rational, parse_rational
@@ -42,10 +42,10 @@ EXIT_PARSE = 3
 
 _NINE_PLACES = Decimal("0.000000001")
 
-# A failed self-check, or no reduced system to solve: no verdict, so exit 2, not a traceback.
+# A failed self-check, or no system left to solve: no verdict, so exit 2, not a traceback.
 _INTERNAL_ERRORS = (
     WitnessVerificationError, PartitionInvariantError, CoverViolationError, SearchCapExceeded,
-    EmptyReducedSystemError,
+    EmptyGraphError,
 )
 
 

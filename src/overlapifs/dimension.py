@@ -24,6 +24,7 @@ __all__ = [
     "CoverViolationError",
     "DEFAULT_TOL",
     "DimensionResult",
+    "EmptyGraphError",
     "EmptyReducedSystemError",
     "GraphDirectedSystem",
     "Partition",
@@ -51,7 +52,11 @@ class CoverViolationError(RuntimeError):
     """The admissible cells fail to tile the union of hull images."""
 
 
-class EmptyReducedSystemError(ValueError):
+class EmptyGraphError(ValueError):
+    """The graph-directed system has no vertex or no edge, so it has no dimension to solve."""
+
+
+class EmptyReducedSystemError(EmptyGraphError):
     """Removing the switch cells deleted every vertex."""
 
 
@@ -236,8 +241,8 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def _below(matrix: Sequence[Sequence[int]], bound: int, divide=operator.floordiv) -> bool:
-    """Exactly whether rho(matrix) < bound, for a nonnegative integer matrix.
+def _minor(matrix: Sequence[Sequence[int]], bound: int, divide=operator.floordiv):
+    """The first leading principal minor of bound*I - matrix that is not positive, else the last.
 
     bound*I - matrix is a Z-matrix, and a Z-matrix is a nonsingular
     M-matrix (which here means rho(matrix) < bound) exactly when every
@@ -250,7 +255,7 @@ def _below(matrix: Sequence[Sequence[int]], bound: int, divide=operator.floordiv
     for k in range(n):
         pivot = a[k][k]
         if pivot <= 0:
-            return False
+            return pivot
         row_k = a[k]
         for i in range(k + 1, n):
             row_i = a[i]
@@ -258,7 +263,12 @@ def _below(matrix: Sequence[Sequence[int]], bound: int, divide=operator.floordiv
             for j in range(k + 1, n):
                 row_i[j] = divide(row_i[j] * pivot - factor * row_k[j], previous)
         previous = pivot
-    return True
+    return previous
+
+
+def _below(matrix: Sequence[Sequence[int]], bound: int, divide=operator.floordiv) -> bool:
+    """Exactly whether rho(matrix) < bound, for a nonnegative integer matrix (see ``_minor``)."""
+    return _minor(matrix, bound, divide) > 0
 
 
 def spectral_radius(matrix, tol: float = 1e-9) -> float:
@@ -326,11 +336,27 @@ def _power_bounds(ratios: Sequence[Fraction], digits: int):
 
 
 def _float_guess(gds: GraphDirectedSystem, lo: float, hi: float, tol: float) -> float:
-    """Float bisection on s with the pivot test of ``_below``: proposes s*, proves nothing."""
+    """Illinois regula falsi on s in floats: proposes s*, proves nothing.
+
+    f(s), ``_minor`` of the weighted matrix, is det(I - diag(r**s)·counts) for s > s*
+    and a minor that is not positive otherwise; [lo, hi] keeps f(lo) <= 0 < f(hi).
+    Secant steps start once both ends have a value, an end kept twice in a row has
+    its value halved, and a clamp tol/8 inside makes a step next to s* cross it next.
+    """
     ratios = [float(v.ratio) for v in gds.vertices]
-    while hi - lo > tol / 4 and lo < (s := (lo + hi) / 2) < hi:
+    f_lo, f_hi, moved = math.nan, math.nan, 0
+    while hi - lo > tol / 4 and lo < (mid := (lo + hi) / 2) < hi:
+        s = lo + f_lo * (lo - hi) / (f_hi - f_lo) if f_lo <= 0 < f_hi else mid
+        s = min(max(s, lo + tol / 8), hi - tol / 8)
+        s = s if lo < s < hi else mid  # tol/8 is below float resolution
         weighted = [[r**s * c for c in row] for r, row in zip(ratios, gds.counts)]
-        lo, hi = (lo, s) if _below(weighted, 1.0, operator.truediv) else (s, hi)
+        f = _minor(weighted, 1.0, operator.truediv)
+        if f > 0:
+            f_lo /= 2 if moved > 0 else 1
+            hi, f_hi, moved = s, f, 1
+        else:
+            f_hi /= 2 if moved < 0 else 1
+            lo, f_lo, moved = s, f, -1
     return (lo + hi) / 2
 
 
@@ -341,20 +367,22 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
     strictly in s, so s <= s* exactly when it is at least one. The exact
     test encloses every r**s between integers over 10**P, P about 15 digits
     beyond ``tol``: a lower enclosure not below one proves s <= s*, an upper
-    one below one proves s > s*. Around a float bisection's s*, and around
-    any midpoint neither decides (s* is then within about 10**-P), the ends
-    of the ``tol``-wide bracket are proved, at higher precision if need be;
-    exact bisection goes on from whatever was proved.
+    one below one proves s > s*. The bracket width is the largest power of
+    two not above ``tol``. Around the float secant search's s*, rounded to a
+    dyadic grid 16 times finer, and around any midpoint neither decides (s*
+    is then within about 10**-P), the ends of that bracket are proved, at
+    higher precision if need be; exact bisection goes on from whatever was
+    proved.
     """
     check_tol(tol)
     if gds.size == 0:
-        raise ValueError("empty graph-directed system")
+        raise EmptyGraphError("empty graph-directed system")
     if gds.edge_count() == 0:
-        raise ValueError("graph-directed system has no edges")
+        raise EmptyGraphError("graph-directed system has no edges")
 
     ratios = sorted({v.ratio for v in gds.vertices})
     slots = [ratios.index(v.ratio) for v in gds.vertices]
-    width = Fraction(tol)
+    width = Fraction(2) ** (math.frexp(tol)[1] - 1)
     digits = GUARD_DIGITS + max(0, math.ceil(-math.log10(tol)))
     bounds = _power_bounds(ratios, digits)
     steps = 1
@@ -369,7 +397,7 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
         return 0 if _below(low, 10**digits) else -1
 
     def narrow(s: Fraction) -> None:
-        """Prove each end of the ``tol``-wide bracket centred on s that lies inside."""
+        """Prove each end of the ``width``-wide bracket centred on s that lies inside."""
         nonlocal digits, bounds, lo, hi
         for end in (s - width / 2, s + width / 2):
             if lo < end < hi:
@@ -386,7 +414,7 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
     while max(v.ratio**hi * sum(row) for v, row in zip(gds.vertices, gds.counts)) >= 1:
         hi *= 2
     if math.isfinite(guess := _float_guess(gds, float(lo), float(hi), tol)):
-        narrow(Fraction(guess))
+        narrow(round(Fraction(guess) * 16 / width) * width / 16)
     while hi - lo > width:
         s = (lo + hi) / 2
         verdict = side(s)

@@ -3,12 +3,16 @@
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import overlapifs.cli
 from overlapifs import (
     CoverViolationError,
+    EmptyGraphError,
     EmptyReducedSystemError,
     PartitionInvariantError,
     SearchCapExceeded,
@@ -311,6 +315,7 @@ class TestInternalErrors:
             (CoverViolationError, "build_partition", ["dim"]),
             (SearchCapExceeded, "validate", ["validate"]),
             (EmptyReducedSystemError, "reduced_system", ["dim", "--set", "U1"]),
+            (EmptyGraphError, "solve_dimension", ["dim", "--set", "U1"]),
         ],
     )
     def test_exits_two(self, quad_file, monkeypatch, capsys, error, callee, command):
@@ -332,3 +337,55 @@ class TestUsage:
     def test_help_exits_zero(self):
         code, _ = run(["--help"])
         assert code == 0
+
+
+_INTEGERS = st.one_of(st.integers(-3, 30), st.integers(-(10**40), 10**40))
+_RATIONALS = st.one_of(
+    st.builds("{}/{}".format, _INTEGERS, _INTEGERS),
+    st.builds(str, _INTEGERS),
+    st.sampled_from(["0", "-0", "1/0", "0/0", "1/-2", "1/2/3", "--1", "+1/2", "0.5", "1e3", "x", ""]),
+)
+_JUNK_LINES = st.one_of(
+    st.sampled_from(["map", "map r=1/2", "map r=1/3 b=0 extra", "map b=0 r=1/3", "frob 1"]),
+    st.sampled_from(["name", "name odd one", "# note", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+)
+_BASES = [
+    (Path(__file__).parent / "data" / f"{name}.ifs").read_text().splitlines()
+    for name in ("quad", "noend", "uneven")
+]
+
+
+@st.composite
+def _ifs_texts(draw):
+    """A checked-in system or the maps x/q + k/q**2, then up to three odd edits."""
+    q = draw(st.integers(2, 6))
+    offsets = draw(st.lists(st.integers(0, q * q - q), min_size=1, max_size=5, unique=True))
+    lines = list(draw(st.sampled_from([*_BASES, [f"map r=1/{q} b={k}/{q * q}" for k in offsets]])))
+    for edit in draw(st.lists(st.sampled_from(["r", "b", "ratio", "duplicate", "junk"]), max_size=3)):
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit == "r":
+            lines[i] = f"map r={draw(_RATIONALS)} b={i}/{q}"
+        elif edit == "b":
+            lines[i] = f"map r=1/{q} b={draw(_RATIONALS)}"
+        elif edit == "ratio":
+            p, d = draw(st.integers(1, 3)), draw(st.integers(4, 9))
+            lines[i] = f"map r={p}/{d} b={i}/{q}"
+        elif edit == "duplicate":
+            lines.append(lines[i])
+        else:
+            lines.insert(i, draw(_JUNK_LINES))
+    return "\n".join(lines)
+
+
+class TestFuzzInput:
+    """Arbitrary description files end in a documented exit code, never in a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_ifs_texts())
+    def test_exit_code_is_documented(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "system.ifs"
+        path.write_text(text, encoding="utf-8")
+        for command in (["validate"], ["dim"], ["dim", "--set", "U1"]):
+            code, _ = run([command[0], str(path), *command[1:]])
+            assert code in (0, 1, 2, 3)

@@ -17,6 +17,7 @@ import overlapifs.dimension
 from conftest import member_instances, mpmath_dimension, random_unequal_member
 from overlapifs import (
     AffineMap,
+    EmptyGraphError,
     EmptyReducedSystemError,
     GraphDirectedSystem,
     Ifs,
@@ -33,7 +34,7 @@ from overlapifs import (
     to_dot,
     validate,
 )
-from overlapifs.dimension import _below
+from overlapifs.dimension import _below, _float_guess
 
 QUAD_MATRIX = (
     (1, 1, 1, 1, 0, 0),
@@ -377,8 +378,10 @@ class TestSolveDimension:
         gds = GraphDirectedSystem(
             vertices=(Vertex(1, Interval(F(0), F(1)), 1, F(1, 2)),), counts=((0,),)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyGraphError, match="no edges"):
             solve_dimension(gds)
+        with pytest.raises(EmptyGraphError, match="empty"):
+            solve_dimension(GraphDirectedSystem(vertices=(), counts=()))
 
     def test_rejects_non_finite_tol(self, quad, quad_report):
         gds = build_graph(quad, build_partition(quad, quad_report))
@@ -410,7 +413,7 @@ class TestSolveDimension:
 
 
 class TestFloatGuess:
-    """The float bisection only proposes where the exact test runs; it proves nothing."""
+    """The float secant search only proposes where the exact test runs; it proves nothing."""
 
     @pytest.fixture(scope="class")
     def cases(self, quad, uneven):
@@ -445,6 +448,40 @@ class TestFloatGuess:
         for ifs in members:
             for gds in solved_systems(ifs):
                 assert solve_dimension(gds, tol).iterations <= 4
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-15])
+    def test_float_elimination_budget(self, quad, noend, uneven, monkeypatch, tol):
+        # A float bisection to tol/4 from [0, 1] takes about 42 eliminations at 1e-12.
+        rng = random.Random(2024)
+        members = [quad, noend, uneven] + [random_unequal_member(rng) for _ in range(30)]
+        minor = overlapifs.dimension._minor
+        floats = []
+
+        def counted(matrix, bound, divide=operator.floordiv):
+            floats.append(divide is operator.truediv)
+            return minor(matrix, bound, divide)
+
+        monkeypatch.setattr(overlapifs.dimension, "_minor", counted)
+        for ifs in members:
+            for gds in solved_systems(ifs):
+                floats.clear()
+                solve_dimension(gds, tol)
+                assert 0 < sum(floats) <= 16
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-15])
+    def test_guess_lies_near_the_root(self, cases, tol):
+        for gds, root in cases:
+            assert abs(_float_guess(gds, 0.0, 1.0, tol) - root) <= tol / 4
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-15])
+    def test_bracket_ends_are_short_dyadic_rationals(self, cases, tol):
+        # The width is a power of two no larger than tol, on a grid 16 times finer.
+        for gds, root in cases:
+            lo, hi = solve_dimension(gds, tol).bracket
+            assert_holds((lo, hi), root, tol)
+            for end in (lo, hi):
+                assert end.denominator & (end.denominator - 1) == 0
+                assert end.denominator <= 32 / tol
 
     def test_float_pivot_test_agrees_with_exact(self):
         rng = random.Random(77)
