@@ -39,13 +39,11 @@ from .dimension import (
     reduced_system,
     solve_dimension,
     spectral_radius,
-    strongly_connected,
     to_dot,
 )
 from .exact import AffineMap, Interval, format_rational, parse_rational
 from .system import (
     Condition,
-    DegenerateHullError,
     EndCase,
     Ifs,
     OverlapIdentityError,
@@ -53,7 +51,6 @@ from .system import (
     SearchCapExceeded,
     ValidationReport,
     Violation,
-    convex_hull,
     end_case,
     overlap_parameters,
     validate,

@@ -8,6 +8,7 @@ verdict, a failed harness or internal check, and 3 for parse or usage errors.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -280,9 +281,9 @@ def _cmd_partition(args, out) -> int:
                 {
                     "pair": i,
                     "interval": _interval(part.pair_interval(i)),
-                    "map": part.cover[i],
+                    "map": d,
                 }
-                for i in part.admissible
+                for i, d in part.cells
             ],
         },
         "matrix": [list(row) for row in gds.counts],
@@ -485,9 +486,23 @@ def main(argv=None, out=None) -> int:
         # argparse exits 2 on usage errors; fold into the parse-error code
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
+        code = _run(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early. Point fd 1 at devnull, so that the
+        # interpreter's own flush at exit cannot raise again, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+
+
+def _run(args, out) -> int:
+    try:
         return _COMMANDS[args.command](args, out)
     except _NotMember:
         return EXIT_NOT_MEMBER
+    except BrokenPipeError:
+        raise
     except (IfsFileError, OSError, ValueError, *_INTERNAL_ERRORS) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_UNDECIDED if isinstance(exc, _INTERNAL_ERRORS) else EXIT_PARSE

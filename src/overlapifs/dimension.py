@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import Interval, _Value, format_rational
-from .scc import strongly_connected_components
 from .system import Ifs, ValidationReport
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "reduced_system",
     "solve_dimension",
     "spectral_radius",
-    "strongly_connected",
     "to_dot",
 ]
 
@@ -63,14 +61,14 @@ class EmptyReducedSystemError(EmptyGraphError):
 class Partition(_Value):
     """Sorted cut points with the admissible consecutive pairs.
 
-    Pair i (1-based) is the interval [points[i-1], points[i]]. ``cover``
-    maps each admissible pair index to the smallest digit whose hull image
-    contains the whole pair.
+    Pair i (1-based) is the interval [points[i-1], points[i]]. ``cells`` lists
+    each admissible pair i as (i, d), d the smallest digit whose hull image
+    contains the whole pair; ``switches`` lists those that are neighbour overlaps.
     """
 
     points: tuple[Fraction, ...]
-    admissible: tuple[int, ...]
-    cover: dict[int, int]
+    cells: tuple[tuple[int, int], ...]
+    switches: tuple[int, ...]
 
     @property
     def gamma(self) -> int:
@@ -80,7 +78,7 @@ class Partition(_Value):
         return Interval(self.points[i - 1], self.points[i])
 
     def gap_pairs(self) -> tuple[int, ...]:
-        admissible = set(self.admissible)
+        admissible = {i for i, _ in self.cells}
         return tuple(i for i in range(1, self.gamma) if i not in admissible)
 
 
@@ -90,8 +88,8 @@ def build_partition(ifs: Ifs, report: ValidationReport) -> Partition:
     The set consists of all hull-image endpoints plus the two overlap tails:
     the forward orbit of the right hull endpoint under the first map (up to
     the maximal left tail length) and of the left hull endpoint under the
-    last map (up to the maximal right tail length). The expected count and
-    the preimage closure of admissible pairs are hard checks.
+    last map (up to the maximal right tail length). The expected count, the
+    preimage closure of admissible pairs and the switch cells are hard checks.
     """
     if not report.member:
         raise ValueError("partition is only defined for members")
@@ -120,28 +118,30 @@ def build_partition(ifs: Ifs, report: ValidationReport) -> Partition:
             f"expected {expected} cut points, deduplication left {len(ordered)}"
         )
 
-    admissible: list[int] = []
-    cover: dict[int, int] = {}
+    cells: list[tuple[int, int]] = []
     for i in range(1, len(ordered)):
         cell = Interval(ordered[i - 1], ordered[i])
         for d in range(1, ifs.m + 1):
             if ifs.piece(d).contains_interval(cell):
-                admissible.append(i)
-                cover[i] = d
+                cells.append((i, d))
                 break
 
     point_set = set(ordered)
-    for i in admissible:
-        g = ifs.map(cover[i])
+    for i, d in cells:
+        g = ifs.map(d)
         for endpoint in (ordered[i - 1], ordered[i]):
             pre = g.invert(endpoint)
             if pre not in point_set:
                 raise PartitionInvariantError(
                     f"preimage {format_rational(pre)} of cut point "
-                    f"{format_rational(endpoint)} under map {cover[i]} is not a cut point"
+                    f"{format_rational(endpoint)} under map {d} is not a cut point"
                 )
 
-    return Partition(points=ordered, admissible=tuple(admissible), cover=cover)
+    pair_of = {Interval(ordered[i - 1], ordered[i]): i for i, _ in cells}
+    switches = tuple(pair_of.get(spec.overlap) for spec in report.overlaps)
+    if None in switches:
+        raise PartitionInvariantError("an overlap interval is not one admissible cell")
+    return Partition(points=ordered, cells=tuple(cells), switches=switches)
 
 
 class Vertex(_Value):
@@ -197,10 +197,10 @@ def build_graph(ifs: Ifs, part: Partition) -> GraphDirectedSystem:
         Vertex(
             pair_index=i,
             cell=part.pair_interval(i),
-            digit=part.cover[i],
-            ratio=ifs.map(part.cover[i]).ratio,
+            digit=d,
+            ratio=ifs.map(d).ratio,
         )
-        for i in part.admissible
+        for i, d in part.cells
     )
 
     cell_union = _merged([v.cell for v in vertices])
@@ -224,16 +224,6 @@ def build_graph(ifs: Ifs, part: Partition) -> GraphDirectedSystem:
         window = Interval(g.invert(v.cell.lo), g.invert(v.cell.hi))
         rows.append(tuple(1 if window.contains_interval(w.cell) else 0 for w in vertices))
     return GraphDirectedSystem(vertices=vertices, counts=tuple(rows))
-
-
-def strongly_connected(gds: GraphDirectedSystem) -> bool:
-    """True when every vertex reaches every vertex (one vertex counts)."""
-    n = gds.size
-    if n == 0:
-        return False
-
-    successors = [[q for q in range(n) if row[q]] for row in gds.counts]
-    return len(strongly_connected_components(successors)) == 1
 
 
 def check_tol(tol: float) -> None:
@@ -309,12 +299,13 @@ class DimensionResult(_Value):
     weighted spectral radius >= 1 at the lower end and < 1 at the upper end,
     and the width is at most the tolerance. ``value`` is the midpoint, and
     ``iterations`` counts the exponents tested exactly, not the float ones.
+    ``method`` names the one route, for reports.
     """
 
     value: float
     bracket: tuple[Fraction, Fraction]
     iterations: int
-    method: str
+    method = "bisection"
 
 
 def _power_bounds(ratios: Sequence[Fraction], digits: int):
@@ -408,7 +399,7 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
 
     if _below(gds.counts, 1):
         # Acyclic counts: the radius is zero at every exponent.
-        return DimensionResult(0.0, (Fraction(0), Fraction(0)), 1, "bisection")
+        return DimensionResult(0.0, (Fraction(0), Fraction(0)), 1)
     # The radius is at least one at s = 0, and at most the largest weighted row sum.
     lo, hi = Fraction(0), Fraction(1)
     while max(v.ratio**hi * sum(row) for v, row in zip(gds.vertices, gds.counts)) >= 1:
@@ -424,32 +415,17 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
             lo = s
         else:
             hi = s
-    return DimensionResult(float((lo + hi) / 2), (lo, hi), steps, "bisection")
+    return DimensionResult(float((lo + hi) / 2), (lo, hi), steps)
 
 
 def reduced_system(ifs: Ifs, part: Partition, gds: GraphDirectedSystem) -> GraphDirectedSystem:
     """Drop the switch cells (the overlaps themselves) and induced edges.
 
     Every overlapping neighbour pair contributes exactly one cell equal to
-    the overlap interval; removing those cells leaves the subsystem whose
-    attractor contains every single-coding point.
+    the overlap interval (``part.switches``); removing those cells leaves the
+    subsystem whose attractor contains every single-coding point.
     """
-    switches: list[Interval] = []
-    for i in range(1, ifs.m):
-        inter = ifs.piece(i).intersect(ifs.piece(i + 1))
-        if inter is not None and not inter.is_point:
-            switches.append(inter)
-
-    keep: list[int] = []
-    matched: set[int] = set()
-    for p, vertex in enumerate(gds.vertices):
-        hit = next((k for k, sw in enumerate(switches) if sw == vertex.cell), None)
-        if hit is None:
-            keep.append(p)
-        else:
-            matched.add(hit)
-    if len(matched) != len(switches):
-        raise PartitionInvariantError("an overlap interval did not appear as a vertex cell")
+    keep = [p for p, vertex in enumerate(gds.vertices) if vertex.pair_index not in part.switches]
     if not keep:
         raise EmptyReducedSystemError("removing the switch cells deleted every vertex")
 

@@ -19,7 +19,6 @@ from .exact import AffineMap, Interval, _Value, format_rational
 
 __all__ = [
     "Condition",
-    "DegenerateHullError",
     "EndCase",
     "Ifs",
     "OverlapIdentityError",
@@ -27,7 +26,6 @@ __all__ = [
     "SearchCapExceeded",
     "ValidationReport",
     "Violation",
-    "convex_hull",
     "end_case",
     "overlap_parameters",
     "validate",
@@ -47,10 +45,6 @@ class Condition(Enum):
     OVERLAP_IDENTITY = "overlap-identity"  # every overlap is a common composed image
 
 
-class DegenerateHullError(ValueError):
-    """The first and last map do not span a nondegenerate hull."""
-
-
 class SearchCapExceeded(RuntimeError):
     """Internal error: an overlap search ran past the safety cap."""
 
@@ -62,23 +56,6 @@ class OverlapIdentityError(Exception):
         self.index = index
         self.detail = detail
         super().__init__(f"pair ({index}, {index + 1}): {detail}")
-
-
-def convex_hull(maps: Sequence[AffineMap]) -> Interval:
-    """Hull spanned by the fixed points of the first and last map.
-
-    The list must already be ordered by left endpoint; the result is
-    rejected when the fixed points do not span a nondegenerate interval.
-    """
-    if not maps:
-        raise ValueError("need at least one map")
-    lo = maps[0].fixed_point()
-    hi = maps[-1].fixed_point()
-    if lo >= hi:
-        raise DegenerateHullError(
-            f"fixed points do not span an interval: {format_rational(lo)} >= {format_rational(hi)}"
-        )
-    return Interval(lo, hi)
 
 
 class Ifs(_Value):

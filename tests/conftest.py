@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from overlapifs import AffineMap, Ifs, admissible_digits, evaluate, validate
+from overlapifs.scc import strongly_connected_components
 
 DATA = Path(__file__).parent / "data"
 
@@ -212,6 +213,12 @@ def sweep_words(ifs: Ifs, max_preperiod: int = 4, max_period: int = 3, cap: int 
         if len(words) >= cap:
             break
     return words
+
+
+def strongly_connected(gds) -> bool:
+    """True when every vertex of a graph-directed system reaches every vertex (one counts)."""
+    successors = [[q for q, c in enumerate(row) if c] for row in gds.counts]
+    return gds.size > 0 and len(strongly_connected_components(successors)) == 1
 
 
 def member_instances(seed: int, count: int):

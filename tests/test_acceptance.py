@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import numpy
 
-from conftest import member_instances, oracle_classify, quad_maps
+from conftest import member_instances, oracle_classify, quad_maps, strongly_connected
 from overlapifs import (
     Cardinality,
     Ifs,
@@ -24,7 +24,6 @@ from overlapifs import (
     make_witness,
     reduced_system,
     solve_dimension,
-    strongly_connected,
     validate,
 )
 from overlapifs.verify import run_theorem_harness
@@ -70,13 +69,13 @@ def test_criterion_2_partition(quad, quad_report):
     ok = (
         part.points == expected
         and part.gamma == 8 == 2 * 4 + 1 + 1 - 2
-        and len(part.admissible) == 6
+        and len(part.cells) == 6
         and t.elapsed < 0.1
     )
     report(
         "criterion 2 (partition)",
         ok,
-        f"gamma={part.gamma}, admissible={len(part.admissible)}, {t.elapsed * 1000:.1f} ms",
+        f"gamma={part.gamma}, admissible={len(part.cells)}, {t.elapsed * 1000:.1f} ms",
     )
 
 

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -327,6 +330,35 @@ class TestInternalErrors:
         assert code == 2
         assert "error: self-check failed" in text.splitlines()
         assert "Traceback" not in text + capsys.readouterr().err
+
+
+class TestClosedPipe:
+    """A reader that closes the pipe early ends the command quietly with exit 0."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "command",
+        [["verify", "noend.ifs", "--theorem", "1"], ["dim", "quad.ifs"]],
+        ids=["verify-noend", "dim-quad"],
+    )
+    def test_exits_zero_without_stderr(self, data_dir, command, unbuffered):
+        # noend's theorem-1 harness exits 2 when its report is read in full, so
+        # exit 0 there shows the closed pipe was taken as the end of the run
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [command[0], str(data_dir / command[1]), *command[2:]]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "overlapifs.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert err == b""
 
 
 class TestUsage:

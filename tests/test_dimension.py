@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import overlapifs.dimension
-from conftest import member_instances, mpmath_dimension, random_unequal_member
+from conftest import member_instances, mpmath_dimension, random_unequal_member, strongly_connected
 from overlapifs import (
     AffineMap,
     EmptyGraphError,
@@ -22,6 +22,7 @@ from overlapifs import (
     GraphDirectedSystem,
     Ifs,
     Interval,
+    OverlapSpec,
     PartitionInvariantError,
     ValidationReport,
     Vertex,
@@ -30,10 +31,10 @@ from overlapifs import (
     reduced_system,
     solve_dimension,
     spectral_radius,
-    strongly_connected,
     to_dot,
     validate,
 )
+from overlapifs.cli import parse_ifs_file
 from overlapifs.dimension import _below, _float_guess
 
 QUAD_MATRIX = (
@@ -141,8 +142,8 @@ class TestPartition:
             F(0), F(4, 25), F(1, 5), F(9, 25), F(16, 25), F(4, 5), F(21, 25), F(1),
         )
         assert part.gamma == 8 == 2 * 4 + 1 + 1 - 2
-        assert part.admissible == (1, 2, 3, 5, 6, 7)
-        assert [part.cover[i] for i in part.admissible] == [1, 1, 2, 3, 3, 4]
+        assert part.cells == ((1, 1), (2, 1), (3, 2), (5, 3), (6, 3), (7, 4))
+        assert part.switches == (2, 6)
         assert part.gap_pairs() == (4,)
 
     def test_noend_points(self, noend, noend_report):
@@ -151,21 +152,21 @@ class TestPartition:
             F(0), F(1, 5), F(3, 10), F(23, 50), F(1, 2), F(33, 50), F(4, 5), F(1),
         )
         assert part.gamma == 8
-        assert part.admissible == (1, 3, 4, 5, 7)
-        assert [part.cover[i] for i in part.admissible] == [1, 2, 2, 3, 4]
+        assert part.cells == ((1, 1), (3, 2), (4, 2), (5, 3), (7, 4))
+        assert part.switches == (4,)
 
     def test_uneven_points(self, uneven, uneven_report):
         part = build_partition(uneven, uneven_report)
         assert part.points == (F(0), F(8, 81), F(1, 9), F(17, 81), F(2, 3), F(8, 9), F(1))
         assert part.gamma == 7 == 2 * 3 + 2 + 1 - 2
-        assert part.admissible == (1, 2, 3, 5, 6)
+        assert [i for i, _ in part.cells] == [1, 2, 3, 5, 6]
 
     def test_preimage_closure(self, quad, quad_report, noend, noend_report, uneven, uneven_report):
         for ifs, report in ((quad, quad_report), (noend, noend_report), (uneven, uneven_report)):
             part = build_partition(ifs, report)
             points = set(part.points)
-            for i in part.admissible:
-                g = ifs.map(part.cover[i])
+            for i, d in part.cells:
+                g = ifs.map(d)
                 cell = part.pair_interval(i)
                 assert g.invert(cell.lo) in points
                 assert g.invert(cell.hi) in points
@@ -183,6 +184,30 @@ class TestPartition:
         )
         with pytest.raises(PartitionInvariantError):
             build_partition(quad, doctored)
+
+    def test_overlap_off_the_cells_raises(self, quad, quad_report):
+        # an overlap spanning two cells names no single switch cell
+        spec = quad_report.overlaps[0]
+        wide = OverlapSpec(spec.index, spec.u, spec.v, Interval(F(4, 25), F(9, 25)), spec.composed)
+        doctored = ValidationReport(
+            member=quad_report.member,
+            violation=quad_report.violation,
+            overlaps=(wide,) + quad_report.overlaps[1:],
+            disjoint_pairs=quad_report.disjoint_pairs,
+            u_max=quad_report.u_max,
+            v_max=quad_report.v_max,
+        )
+        with pytest.raises(PartitionInvariantError, match="not one admissible cell"):
+            build_partition(quad, doctored)
+
+    @pytest.mark.parametrize("name", ["quad", "noend", "uneven"])
+    def test_builds_are_equal_and_hash_equal(self, data_dir, name):
+        def build():
+            ifs = Ifs.from_maps(parse_ifs_file((data_dir / f"{name}.ifs").read_text()).maps)
+            return build_partition(ifs, validate(ifs))
+
+        one, two = build(), build()
+        assert one == two and hash(one) == hash(two)
 
     def test_requires_member(self, quad):
         from overlapifs import AffineMap, Ifs

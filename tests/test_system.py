@@ -5,39 +5,32 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import member_instances, quad_maps
+from conftest import member_instances, noend_maps, quad_maps
 from overlapifs import (
     AffineMap,
     Condition,
-    DegenerateHullError,
     Ifs,
     Interval,
     OverlapIdentityError,
-    convex_hull,
     end_case,
     overlap_parameters,
     validate,
 )
 
 
-class TestConvexHull:
-    def test_quad(self):
-        assert convex_hull(quad_maps()) == Interval(F(0), F(1))
-
-    def test_two_halving_maps(self):
-        maps = [AffineMap(F(1, 2), F(0)), AffineMap(F(1, 2), F(1, 2))]
-        assert convex_hull(maps) == Interval(F(0), F(1))
-
-    def test_noend(self, noend):
-        assert convex_hull(list(noend.maps)) == Interval(F(0), F(1))
-
-    def test_rejects_reversed_order(self):
-        maps = [AffineMap(F(1, 2), F(1, 2)), AffineMap(F(1, 2), F(0))]
-        with pytest.raises(DegenerateHullError):
-            convex_hull(maps)
-
-
 class TestIfs:
+    @pytest.mark.parametrize(
+        "maps",
+        [
+            quad_maps(),
+            [AffineMap(F(1, 2), F(0)), AffineMap(F(1, 2), F(1, 2))],
+            noend_maps(),
+        ],
+        ids=["quad", "two-halving-maps", "noend"],
+    )
+    def test_hull_spans_the_extreme_fixed_points(self, maps):
+        assert Ifs.from_maps(maps).hull == Interval(F(0), F(1))
+
     def test_sorts_by_left_endpoint(self):
         shuffled = [quad_maps()[2], quad_maps()[0], quad_maps()[3], quad_maps()[1]]
         ifs = Ifs.from_maps(shuffled)

@@ -76,7 +76,7 @@ class TestTheoremThree:
         self, quad, quad_report, monkeypatch, reduced, full, expected
     ):
         def result(bracket):
-            return DimensionResult(float(sum(bracket) / 2), bracket, 1, "bisection")
+            return DimensionResult(float(sum(bracket) / 2), bracket, 1)
 
         # solve_dimension runs on the full system first, then on the reduced one
         answers = iter([result(full), result(reduced)])
