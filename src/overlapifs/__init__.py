@@ -46,6 +46,7 @@ from .system import (
     Condition,
     EndCase,
     Ifs,
+    NestedImageError,
     OverlapIdentityError,
     OverlapSpec,
     SearchCapExceeded,

@@ -31,7 +31,7 @@ from .dimension import DEFAULT_TOL, CoverViolationError, EmptyGraphError
 from .dimension import PartitionInvariantError
 from .dimension import build_graph, build_partition, reduced_system, solve_dimension, to_dot
 from .exact import AffineMap, _Value, format_rational, parse_rational
-from .system import Ifs, SearchCapExceeded, ValidationReport, end_case, validate
+from .system import Ifs, NestedImageError, SearchCapExceeded, ValidationReport, end_case, validate
 from .verify import run_theorem_harness
 
 __all__ = ["IfsFile", "IfsFileError", "main", "parse_ifs_file"]
@@ -46,7 +46,7 @@ _NINE_PLACES = Decimal("0.000000001")
 # A failed self-check, or no system left to solve: no verdict, so exit 2, not a traceback.
 _INTERNAL_ERRORS = (
     WitnessVerificationError, PartitionInvariantError, CoverViolationError, SearchCapExceeded,
-    EmptyGraphError,
+    EmptyGraphError, NestedImageError,
 )
 
 

@@ -109,7 +109,9 @@ def symbolic_point(ifs: Ifs, preperiod: Sequence[int], period: Sequence[int]) ->
 
 def admissible_digits(ifs: Ifs, x: Fraction) -> list[int]:
     """All digits whose hull image contains x (closed membership), ascending."""
-    digits = [d for d in range(1, ifs.m + 1) if ifs.piece(d).contains(x)]
+    den, _, pieces = ifs.bounds
+    q, p = x.denominator, x.numerator * den
+    digits = [d for d, (lo, hi) in enumerate(pieces, 1) if lo * q <= p <= hi * q]
     # No point lies in three hull images once next-but-one images are disjoint.
     assert len(digits) <= 2, f"point {x} lies in {len(digits)} images"
     return digits
@@ -127,8 +129,9 @@ class _Residuals:
     def __init__(self, ifs: Ifs, xs: list[Fraction], max_nodes: int, max_depth: int):
         if max_nodes < 1 or max_depth < 1:
             raise ValueError("max_nodes and max_depth must be >= 1")
+        den, (lo, hi), _ = ifs.bounds
         for x in xs:
-            if not ifs.hull.contains(x):
+            if not lo * x.denominator <= x.numerator * den <= hi * x.denominator:
                 raise PointNotInAttractorError(f"{x} lies outside the hull {ifs.hull}")
         self.ifs, self.max_nodes, self.max_depth = ifs, max_nodes, max_depth
         self.ids: dict[Fraction, int] = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .exact import AffineMap, Interval, _Value, format_rational
@@ -21,6 +22,7 @@ __all__ = [
     "Condition",
     "EndCase",
     "Ifs",
+    "NestedImageError",
     "OverlapIdentityError",
     "OverlapSpec",
     "SearchCapExceeded",
@@ -47,6 +49,10 @@ class Condition(Enum):
 
 class SearchCapExceeded(RuntimeError):
     """Internal error: an overlap search ran past the safety cap."""
+
+
+class NestedImageError(RuntimeError):
+    """Internal error: a system that passed every check has one hull image inside another."""
 
 
 class OverlapIdentityError(Exception):
@@ -88,6 +94,15 @@ class Ifs(_Value):
     def pieces(self) -> tuple[Interval, ...]:
         """Hull images in digit order, computed once; not a field, so outside eq and repr."""
         return tuple(f.apply_interval(self.hull) for f in self.maps)
+
+    @cached_property
+    def bounds(self) -> tuple[int, tuple[int, int], tuple[tuple[int, int], ...]]:
+        """``(den, hull, pieces)``: every endpoint as an integer numerator over one common
+        ``den``, so that closed membership is an exact integer cross-multiplication."""
+        ivs = (self.hull, *self.pieces)
+        den = lcm(*(e.denominator for iv in ivs for e in (iv.lo, iv.hi)))
+        hull, *pieces = [(int(iv.lo * den), int(iv.hi * den)) for iv in ivs]
+        return den, hull, tuple(pieces)
 
     def _index(self, digit: int) -> int:
         if not 1 <= digit <= self.m:
@@ -182,8 +197,11 @@ def overlap_parameters(ifs: Ifs, index: int) -> OverlapSpec | None:
     if not 1 <= index <= ifs.m - 1:
         raise ValueError(f"pair index {index} outside 1..{ifs.m - 1}")
     inter = ifs.piece(index).intersect(ifs.piece(index + 1))
-    if inter is None:
-        return None
+    return None if inter is None else _overlap_spec(ifs, index, inter)
+
+
+def _overlap_spec(ifs: Ifs, index: int, inter: Interval) -> OverlapSpec:
+    """``overlap_parameters`` for a pair whose hull images meet in ``inter``."""
     if inter.is_point:
         raise OverlapIdentityError(
             index, f"overlap is the single point {format_rational(inter.lo)}"
@@ -316,19 +334,16 @@ def validate(ifs: Ifs) -> ValidationReport:
             disjoint.append(i)
             continue
         try:
-            spec = overlap_parameters(ifs, i)
+            overlaps.append(_overlap_spec(ifs, i, inter))
         except OverlapIdentityError as exc:
             return fail(Condition.OVERLAP_IDENTITY, str(exc))
-        assert spec is not None
-        overlaps.append(spec)
 
     # Consequence check: no hull image may contain another. This follows
     # from the four conditions, so a hit here is an internal inconsistency.
-    pieces = [ifs.piece(d) for d in range(1, ifs.m + 1)]
-    for i, p in enumerate(pieces):
-        for j, q in enumerate(pieces):
+    for i, p in enumerate(ifs.pieces):
+        for j, q in enumerate(ifs.pieces):
             if i != j and q.contains_interval(p):
-                raise RuntimeError(
+                raise NestedImageError(
                     f"image {i + 1} contained in image {j + 1} despite passing all checks"
                 )
 

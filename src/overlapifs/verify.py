@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from .codings import (
     DEFAULT_MAX_DEPTH,
@@ -99,28 +100,38 @@ def dichotomy_sweep(
 
     Enumerates every word with the given preperiod and period bounds in a
     fixed order, deduplicates by exact value and classifies up to ``cap``
-    distinct points in one ``classify_many`` call; a value is the composed
-    map of its preperiod at the fixed point of its period, each computed once,
-    so it equals ``evaluate``'s exactly. Returns tallies plus any verdicts
-    that break the power-of-two dichotomy (a finite count that is not a power
-    of two, or a countable verdict).
+    distinct points in one ``classify_many`` call. A value is the composed
+    map of its preperiod at the fixed point of its period, in integers: each
+    word's map (a, b, c), x -> (a x + b) / c, extends the word one digit
+    shorter, and each value is a reduced (numerator, denominator) pair, so it
+    equals ``evaluate``'s exactly. Returns tallies plus any verdicts that
+    break the power-of-two dichotomy (a finite count that is not a power of
+    two, or a countable verdict).
     """
-
-    def words(lo: int, hi: int) -> list[tuple[int, ...]]:
-        return [w for n in range(lo, hi + 1) for w in product(range(1, ifs.m + 1), repeat=n)]
-
-    heads = [(pre, ifs.compose_word(pre) if pre else None) for pre in words(0, max_preperiod)]
-    tails = [(per, ifs.compose_word(per).fixed_point()) for per in words(1, max_period)]
-    first: dict[Fraction, tuple] = {}  # each distinct value -> its first word
-    for (pre, head), (per, fixed) in product(heads, tails):
-        first.setdefault(head(fixed) if head else fixed, (pre, per))
+    common = lcm(*(v.denominator for f in ifs.maps for v in (f.ratio, f.offset)))
+    maps = [(int(f.ratio * common), int(f.offset * common), common) for f in ifs.maps]
+    levels = [[((), (1, 0, 1))]]  # the words of each length with their maps, from the identity
+    for _ in range(max(max_preperiod, max_period)):
+        levels.append([
+            (w + (d,), (a * p, a * q + b * r, c * r))
+            for w, (a, b, c) in levels[-1]
+            for d, (p, q, r) in enumerate(maps, 1)
+        ])
+    heads = [word for n in range(max_preperiod + 1) for word in levels[n]]
+    # each period with its fixed point b / (c - a)
+    tails = [(per, b, c - a) for n in range(1, max_period + 1) for per, (a, b, c) in levels[n]]
+    first: dict[tuple[int, int], tuple] = {}  # each distinct reduced value -> its first word
+    for (pre, (a, b, c)), (per, n, d) in product(heads, tails):
+        num, den = a * n + b * d, c * d
+        g = gcd(num, den)
+        first.setdefault((num // g, den // g), (pre, per))
         if len(first) >= cap:
             break
 
     tally = {"finite": 0, "countable": 0, "continuum": 0, "unknown": 0}
     finite_counts: set[int] = set()
     violations: list[str] = []
-    verdicts = classify_many(ifs, first, max_nodes, max_depth)
+    verdicts = classify_many(ifs, [Fraction(*value) for value in first], max_nodes, max_depth)
     for (pre, per), verdict in zip(first.values(), verdicts):
         tally[verdict.kind] += 1
         if verdict.kind == "finite":

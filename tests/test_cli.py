@@ -17,6 +17,8 @@ from overlapifs import (
     CoverViolationError,
     EmptyGraphError,
     EmptyReducedSystemError,
+    Interval,
+    NestedImageError,
     PartitionInvariantError,
     SearchCapExceeded,
     WitnessVerificationError,
@@ -319,6 +321,7 @@ class TestInternalErrors:
             (SearchCapExceeded, "validate", ["validate"]),
             (EmptyReducedSystemError, "reduced_system", ["dim", "--set", "U1"]),
             (EmptyGraphError, "solve_dimension", ["dim", "--set", "U1"]),
+            (NestedImageError, "validate", ["validate"]),
         ],
     )
     def test_exits_two(self, quad_file, monkeypatch, capsys, error, callee, command):
@@ -329,6 +332,14 @@ class TestInternalErrors:
         code, text = run([command[0], quad_file, *command[1:]])
         assert code == 2
         assert "error: self-check failed" in text.splitlines()
+        assert "Traceback" not in text + capsys.readouterr().err
+
+    def test_nested_images_exit_two(self, quad_file, monkeypatch, capsys):
+        # Every containment holding makes validate's consequence check fire.
+        monkeypatch.setattr(Interval, "contains_interval", lambda a, b: True)
+        code, text = run(["validate", quad_file])
+        assert code == 2
+        assert "error: image 1 contained in image 2 despite passing all checks" in text.splitlines()
         assert "Traceback" not in text + capsys.readouterr().err
 
 
@@ -410,14 +421,33 @@ def _ifs_texts(draw):
     return "\n".join(lines)
 
 
+def _digits(min_size: int, max_size: int):
+    words = st.lists(st.integers(0, 5), min_size=min_size, max_size=max_size)
+    return words.map(lambda ds: ",".join(map(str, ds)))
+
+
+_POINTS = st.one_of(
+    st.builds("w={};p={}".format, _digits(0, 4), _digits(1, 3)),
+    st.sampled_from(["w=1", "p=1", "w=1;p=x", "w=;p=", "", "w=1,,2;p=4"]),
+)
+_TARGETS = st.one_of(
+    st.builds("finite:{}".format, st.integers(-1, 9)),
+    st.sampled_from(["aleph0", "continuum", "finite:", "finite:x", "countable", ""]),
+)
+
+
 class TestFuzzInput:
     """Arbitrary description files end in a documented exit code, never in a traceback."""
 
     @settings(max_examples=200, deadline=None)
-    @given(text=_ifs_texts())
-    def test_exit_code_is_documented(self, tmp_path_factory, text):
+    @given(text=_ifs_texts(), point=_POINTS, target=_TARGETS)
+    def test_exit_code_is_documented(self, tmp_path_factory, text, point, target):
         path = tmp_path_factory.mktemp("fuzz") / "system.ifs"
         path.write_text(text, encoding="utf-8")
-        for command in (["validate"], ["dim"], ["dim", "--set", "U1"]):
+        commands = (
+            ["validate"], ["dim"], ["dim", "--set", "U1"],
+            ["classify", "--point", point], ["witness", "--target", target],
+        )
+        for command in commands:
             code, _ = run([command[0], str(path), *command[1:]])
             assert code in (0, 1, 2, 3)

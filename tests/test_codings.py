@@ -19,6 +19,7 @@ from conftest import (
     uneven_maps,
 )
 from overlapifs import (
+    AffineMap,
     Cardinality,
     Ifs,
     PointNotInAttractorError,
@@ -91,6 +92,73 @@ class TestAdmissibleDigits:
     )
     def test_quad(self, quad, x, expected):
         assert admissible_digits(quad, x) == expected
+
+
+def _conjugate(maps, a, c):
+    """The system seen through y = a x + c: each map r x + b becomes r y + a b + c (1 - r)."""
+    return [AffineMap(f.ratio, a * f.offset + c * (1 - f.ratio)) for f in maps]
+
+
+def _hull_test_systems():
+    """Checked-in systems, seeded members, a negative hull, and two non-members."""
+    rng = random.Random(23)
+    systems = [Ifs.from_maps(maps()) for maps in (quad_maps, noend_maps, uneven_maps)]
+    systems += [random_member(rng)[0] for _ in range(4)]
+    systems += [random_unequal_member(rng) for _ in range(4)]
+    systems.append(Ifs.from_maps(_conjugate(uneven_maps(), F(7, 3), F(-13, 6))))
+    # Non-members: three images share the point 1/2; one image lies inside another.
+    systems.append(Ifs.from_maps([AffineMap(F(1, 2), F(k, 4)) for k in range(3)]))
+    nested = [AffineMap(F(1, 2), F(0)), AffineMap(F(1, 7), F(1, 7)), AffineMap(F(1, 3), F(2, 3))]
+    systems.append(Ifs.from_maps(nested))
+    return systems
+
+
+HULL_SYSTEMS = _hull_test_systems()
+NEGATIVE_HULL, THREE_IMAGES = HULL_SYSTEMS[11], HULL_SYSTEMS[12]
+
+
+class TestAdmissibleDigitsDifferential:
+    """The integer hull test equals a Fraction scan over the pieces, the
+    assertion on three or more images included."""
+
+    @staticmethod
+    def check(ifs, x):
+        expected = [d for d in range(1, ifs.m + 1) if ifs.piece(d).contains(x)]
+        if len(expected) > 2:
+            with pytest.raises(AssertionError, match=f"lies in {len(expected)} images"):
+                admissible_digits(ifs, x)
+        else:
+            assert admissible_digits(ifs, x) == expected
+
+    @pytest.mark.parametrize("ifs", HULL_SYSTEMS)
+    def test_endpoints_and_neighbours(self, ifs):
+        ends = {e for iv in (ifs.hull, *ifs.pieces) for e in (iv.lo, iv.hi)}
+        for e in ends:
+            self.check(ifs, e)
+            for k in range(1, 8):
+                self.check(ifs, e - F(1, 10**k))
+                self.check(ifs, e + F(1, 10**k))
+
+    @pytest.mark.parametrize("index", range(len(HULL_SYSTEMS)))
+    def test_random_rationals(self, index):
+        ifs, rng = HULL_SYSTEMS[index], random.Random(index)
+        lo, hi = ifs.hull.lo - 1, ifs.hull.hi + 1
+        for _ in range(300):
+            den = rng.randint(1, 10 ** rng.randint(1, 12))
+            self.check(ifs, lo + (hi - lo) * F(rng.randint(0, den), den))
+
+    def test_three_images_still_assert(self):
+        with pytest.raises(AssertionError, match="point 1/2 lies in 3 images"):
+            admissible_digits(THREE_IMAGES, F(1, 2))
+
+    def test_hull_check_is_closed(self):
+        lo, hi = NEGATIVE_HULL.hull.lo, NEGATIVE_HULL.hull.hi
+        assert lo < 0
+        assert classify_many(NEGATIVE_HULL, [lo, hi]) == [Cardinality.finite(1)] * 2
+        for k in (1, 6, 30):
+            for x in (lo - F(1, 10**k), hi + F(1, 10**k)):
+                with pytest.raises(PointNotInAttractorError, match="outside the hull"):
+                    classify_many(NEGATIVE_HULL, [x])
 
 
 class TestResidualGraph:

@@ -11,6 +11,7 @@ from overlapifs import (
     Condition,
     Ifs,
     Interval,
+    NestedImageError,
     OverlapIdentityError,
     end_case,
     overlap_parameters,
@@ -243,6 +244,30 @@ class TestOverlapParameters:
         )
         with pytest.raises(OverlapIdentityError):
             overlap_parameters(ifs, 1)
+
+
+    def test_validate_intersects_each_pair_once(self, monkeypatch):
+        ifs = Ifs.from_maps(quad_maps())
+        calls, intersect = [], Interval.intersect
+        monkeypatch.setattr(Interval, "intersect", lambda a, b: calls.append(1) or intersect(a, b))
+        report = validate(ifs)
+        assert len(calls) == ifs.m - 1
+        monkeypatch.undo()
+        assert report.overlaps == (overlap_parameters(ifs, 1), overlap_parameters(ifs, 3))
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_report_matches_overlap_parameters(self, index):
+        ifs, _ = member_instances(29, 10)[index]
+        specs = [overlap_parameters(ifs, i) for i in range(1, ifs.m)]
+        report = validate(ifs)
+        assert report.overlaps == tuple(s for s in specs if s is not None)
+        assert report.disjoint_pairs == tuple(i for i, s in enumerate(specs, 1) if s is None)
+
+    def test_nested_images_raise_internal_error(self, monkeypatch):
+        # Every containment holding makes validate's consequence check fire.
+        monkeypatch.setattr(Interval, "contains_interval", lambda a, b: True)
+        with pytest.raises(NestedImageError, match="image 1 contained in image 2"):
+            validate(Ifs.from_maps(quad_maps()))
 
 
 class TestEndCase:

@@ -1,17 +1,29 @@
 """Theorem harnesses and the dichotomy sweep at reduced scale."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import overlapifs.verify
-from conftest import sweep_words
+from conftest import (
+    noend_maps,
+    quad_maps,
+    random_member,
+    random_unequal_member,
+    sweep_words,
+    uneven_maps,
+)
 from overlapifs import (
+    AffineMap,
+    Cardinality,
     DimensionResult,
+    Ifs,
     build_residual_graph,
     classify_cardinality,
     dichotomy_sweep,
     run_theorem_harness,
+    validate,
 )
 
 
@@ -125,6 +137,61 @@ class TestSweep:
     def test_cap_respected(self, noend):
         sweep = dichotomy_sweep(noend, max_preperiod=3, max_period=2, cap=50)
         assert sweep["classified"] == 50
+
+
+def _non_unit_member():
+    """Ratio 2/7: f1 f3 = f2 f1 = 4x/49 + 10/49, so pair (1, 2) overlaps with u = v = 1."""
+    return Ifs.from_maps([AffineMap(F(2, 7), b) for b in (F(0), F(10, 49), F(5, 7))])
+
+
+def _sweep_systems():
+    rng = random.Random(11)
+    systems = [Ifs.from_maps(maps()) for maps in (quad_maps, noend_maps, uneven_maps)]
+    systems += [random_member(rng)[0] for _ in range(3)]
+    systems += [random_unequal_member(rng) for _ in range(3)]
+    return [*systems, _non_unit_member()]
+
+
+class TestSweepPoints:
+    """The integer build of the sweep's points equals ``sweep_words``, one ``evaluate`` per word."""
+
+    @staticmethod
+    def handed_over(monkeypatch, ifs, **bounds):
+        """Each value the sweep hands ``classify_many``, in order, with its word as the
+        violation text prints it: every point is made to read countable."""
+        seen = []
+
+        def countable(ifs, values, max_nodes, max_depth):
+            seen.extend(values)
+            return [Cardinality.countable()] * len(seen)
+
+        monkeypatch.setattr(overlapifs.verify, "classify_many", countable)
+        violations = dichotomy_sweep(ifs, **bounds)["violations"]
+        assert all(type(x) is F for x in seen)
+        return list(zip(seen, (v.removesuffix(" -> countable") for v in violations), strict=True))
+
+    def check(self, monkeypatch, ifs, **bounds):
+        expected = [(x, f"w={pre};p={per}") for x, (pre, per) in sweep_words(ifs, **bounds).items()]
+        assert self.handed_over(monkeypatch, ifs, **bounds) == expected
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [{"cap": 7}, {"max_preperiod": 3, "max_period": 2, "cap": 800},
+         {"max_preperiod": 1, "max_period": 2, "cap": 10**6}],
+        ids=["small-cap", "mid", "cap-above-words"],
+    )
+    @pytest.mark.parametrize("index", range(len(_sweep_systems())))
+    def test_values_and_first_words_match(self, monkeypatch, index, bounds):
+        self.check(monkeypatch, _sweep_systems()[index], **bounds)
+
+    @pytest.mark.parametrize("index", [1, -1])
+    def test_default_bounds_match(self, monkeypatch, index):
+        self.check(monkeypatch, _sweep_systems()[index])
+
+    def test_non_unit_member_is_valid(self):
+        report = validate(_non_unit_member())
+        assert report.member
+        assert [(s.index, s.u, s.v) for s in report.overlaps] == [(1, 1, 1)]
 
 
 class TestValidation:
