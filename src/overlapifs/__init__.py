@@ -46,14 +46,13 @@ from .system import (
     Condition,
     EndCase,
     Ifs,
+    InternalError,
     NestedImageError,
-    OverlapIdentityError,
     OverlapSpec,
     SearchCapExceeded,
     ValidationReport,
     Violation,
     end_case,
-    overlap_parameters,
     validate,
 )
 from .verify import CheckResult, HarnessResult, dichotomy_sweep, run_theorem_harness

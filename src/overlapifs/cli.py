@@ -21,17 +21,15 @@ from .codings import (
     SymbolicPoint,
     UnreachableTargetError,
     WitnessRequest,
-    WitnessVerificationError,
     build_residual_graph,
     classify_cardinality,
     enumerate_codings,
     make_witness,
 )
-from .dimension import DEFAULT_TOL, CoverViolationError, EmptyGraphError
-from .dimension import PartitionInvariantError
-from .dimension import build_graph, build_partition, reduced_system, solve_dimension, to_dot
+from .dimension import DEFAULT_TOL, build_graph, build_partition, reduced_system
+from .dimension import solve_dimension, to_dot
 from .exact import AffineMap, _Value, format_rational, parse_rational
-from .system import Ifs, NestedImageError, SearchCapExceeded, ValidationReport, end_case, validate
+from .system import Ifs, InternalError, ValidationReport, end_case, validate
 from .verify import run_theorem_harness
 
 __all__ = ["IfsFile", "IfsFileError", "main", "parse_ifs_file"]
@@ -42,12 +40,6 @@ EXIT_UNDECIDED = 2
 EXIT_PARSE = 3
 
 _NINE_PLACES = Decimal("0.000000001")
-
-# A failed self-check, or no system left to solve: no verdict, so exit 2, not a traceback.
-_INTERNAL_ERRORS = (
-    WitnessVerificationError, PartitionInvariantError, CoverViolationError, SearchCapExceeded,
-    EmptyGraphError, NestedImageError,
-)
 
 
 class IfsFileError(ValueError):
@@ -503,9 +495,12 @@ def _run(args, out) -> int:
         return EXIT_NOT_MEMBER
     except BrokenPipeError:
         raise
-    except (IfsFileError, OSError, ValueError, *_INTERNAL_ERRORS) as exc:
+    except InternalError as exc:
         print(f"error: {exc}", file=out)
-        return EXIT_UNDECIDED if isinstance(exc, _INTERNAL_ERRORS) else EXIT_PARSE
+        return EXIT_UNDECIDED
+    except (IfsFileError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=out)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

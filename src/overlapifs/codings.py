@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .exact import _Value, _setattr
 from .scc import strongly_connected_components
-from .system import Ifs, ValidationReport, end_case
+from .system import Ifs, InternalError, ValidationReport, end_case
 
 __all__ = [
     "Cardinality",
@@ -54,7 +54,7 @@ class UnreachableTargetError(ValueError):
     """No point of the attractor has the requested number of codings."""
 
 
-class WitnessVerificationError(RuntimeError):
+class WitnessVerificationError(InternalError):
     """A constructed witness failed its classification self-check."""
 
 
@@ -179,6 +179,11 @@ class _Residuals:
                 expanded.append(y)
         return depth, expanded, limit_hit
 
+    def facts(self) -> tuple[bytearray, list[int]]:
+        """``_facts`` of every id interned so far. An id never expanded gets a self-loop,
+        so pruning never proves it dead; a root whose walk hit no limit reaches none."""
+        return _facts([(y,) if out is None else out for y, out in enumerate(self.succ)])
+
 
 class ResidualGraph(_Value):
     """Closure of a point under digit-stripping: a view of one residual walk.
@@ -226,13 +231,7 @@ class ResidualGraph(_Value):
 
     @cached_property
     def facts(self) -> tuple[bytearray, list[int]]:
-        """``_facts`` of the walk: an unexpanded id gets a self-loop, so pruning never
-        proves it dead; an id outside ``depth`` (from a ``max_nodes`` break) gets none."""
-        succ, depth = self.residuals.succ, self.depth
-        if self.limit_hit:
-            done = set(self.expanded)
-            succ = [out if y in done else (y,) if y in depth else () for y, out in enumerate(succ)]
-        return _facts(succ)
+        return self.residuals.facts()
 
 
 def build_residual_graph(
@@ -365,7 +364,7 @@ def classify_many(
     values = list(values)
     res = _Residuals(ifs, values, max_nodes, max_depth)
     limits = [res.walk(root)[2] for root in res.roots]
-    facts = _facts([() if out is None else out for out in res.succ])
+    facts = res.facts()
     shared: dict[Cardinality, Cardinality] = {}
     verdicts = []
     for x, root, limit in zip(values, res.roots, limits):
@@ -465,18 +464,6 @@ class WitnessRequest(_Value):
         return verdict.kind == self.kind
 
 
-def _verified_unique_tail(
-    ifs: Ifs, preperiod: tuple[int, ...], period: tuple[int, ...], max_nodes: int, max_depth: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    point = symbolic_point(ifs, preperiod, period)
-    verdict = classify_point(ifs, point.value, max_nodes, max_depth)
-    if verdict != Cardinality.finite(1):
-        raise WitnessVerificationError(
-            f"tail {point} was expected to have a unique coding, classifier says {verdict}"
-        )
-    return preperiod, period
-
-
 def make_witness(
     ifs: Ifs,
     report: ValidationReport,
@@ -497,6 +484,7 @@ def make_witness(
         raise ValueError("witness construction needs a validated member system")
     case = end_case(ifs, report)
     m = ifs.m
+    tail: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     if request.kind == "countable":
         if case.tag == "no-end-overlap":
@@ -519,14 +507,14 @@ def make_witness(
             if case.right_overlaps and not case.left_overlaps:
                 spec = report.overlap_at(m - 1)
                 assert spec is not None
-                tail = _verified_unique_tail(ifs, (2,), (1,), max_nodes, max_depth)
+                tail = (2,), (1,)
                 head = (m,) + (1,) * (spec.v * s)
             else:
                 spec = report.overlap_at(1)
                 assert spec is not None
                 # When both ends overlap, anchor the tail at the smallest disjoint middle pair.
                 first = min(report.disjoint_pairs) if case.right_overlaps else m - 1
-                tail = _verified_unique_tail(ifs, (first,), (m,), max_nodes, max_depth)
+                tail = (first,), (m,)
                 head = (1,) + (m,) * (spec.u * s)
             pre, per = head + tail[0], tail[1]
         else:
@@ -537,11 +525,17 @@ def make_witness(
             s = k.bit_length() - 1
             spec = report.overlaps[0]
             block = (spec.index,) + (m,) * spec.u
-            tail = _verified_unique_tail(ifs, (1,), (m,), max_nodes, max_depth)
+            tail = (1,), (m,)
             pre, per = block * s + tail[0], tail[1]
 
     point = symbolic_point(ifs, pre, per)
-    verdict = classify_point(ifs, point.value, max_nodes, max_depth)
+    # The witness word ends in the tail, so one batch classifies both over shared residuals.
+    points = [point] if tail is None else [symbolic_point(ifs, *tail), point]
+    *checked, verdict = classify_many(ifs, [p.value for p in points], max_nodes, max_depth)
+    if checked and checked[0] != Cardinality.finite(1):
+        raise WitnessVerificationError(
+            f"tail {points[0]} was expected to have a unique coding, classifier says {checked[0]}"
+        )
     if not request.matches(verdict):
         raise WitnessVerificationError(
             f"witness {point} requested as {request.kind}"

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import Interval, _Value, format_rational
-from .system import Ifs, ValidationReport
+from .system import Ifs, InternalError, ValidationReport
 
 __all__ = [
     "CoverViolationError",
@@ -42,15 +42,15 @@ DEFAULT_TOL = 1e-12
 GUARD_DIGITS = 15
 
 
-class PartitionInvariantError(RuntimeError):
+class PartitionInvariantError(InternalError):
     """The cut-point set misses its expected size or preimage closure."""
 
 
-class CoverViolationError(RuntimeError):
+class CoverViolationError(InternalError):
     """The admissible cells fail to tile the union of hull images."""
 
 
-class EmptyGraphError(ValueError):
+class EmptyGraphError(InternalError):
     """The graph-directed system has no vertex or no edge, so it has no dimension to solve."""
 
 

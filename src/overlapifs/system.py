@@ -22,14 +22,13 @@ __all__ = [
     "Condition",
     "EndCase",
     "Ifs",
+    "InternalError",
     "NestedImageError",
-    "OverlapIdentityError",
     "OverlapSpec",
     "SearchCapExceeded",
     "ValidationReport",
     "Violation",
     "end_case",
-    "overlap_parameters",
     "validate",
 ]
 
@@ -47,21 +46,16 @@ class Condition(Enum):
     OVERLAP_IDENTITY = "overlap-identity"  # every overlap is a common composed image
 
 
-class SearchCapExceeded(RuntimeError):
-    """Internal error: an overlap search ran past the safety cap."""
+class InternalError(RuntimeError):
+    """A self-check failed, or no system was left to solve: the program gives no verdict."""
 
 
-class NestedImageError(RuntimeError):
-    """Internal error: a system that passed every check has one hull image inside another."""
+class SearchCapExceeded(InternalError):
+    """An overlap search ran past the safety cap."""
 
 
-class OverlapIdentityError(Exception):
-    """Neighbour images overlap but admit no common composed-image identity."""
-
-    def __init__(self, index: int, detail: str):
-        self.index = index
-        self.detail = detail
-        super().__init__(f"pair ({index}, {index + 1}): {detail}")
+class NestedImageError(InternalError):
+    """A system that passed every check has one hull image inside another."""
 
 
 class Ifs(_Value):
@@ -184,28 +178,17 @@ def end_case(ifs: Ifs, report: ValidationReport) -> EndCase:
     )
 
 
-def overlap_parameters(ifs: Ifs, index: int) -> OverlapSpec | None:
-    """Overlap data for the neighbour pair (index, index + 1).
+def _overlap_spec(ifs: Ifs, index: int, inter: Interval) -> OverlapSpec | str:
+    """Overlap data for the pair (index, index + 1), whose hull images meet in ``inter``.
 
-    Returns ``None`` when the two hull images are disjoint. Otherwise
-    searches for the tail lengths u and v realizing the overlap as a common
+    Searches for the tail lengths u and v realizing the overlap as a common
     composed image. Both searches walk a strictly monotone sequence toward a
     limit strictly past the target, so they stop in finitely many steps,
-    either at exact equality or with an OverlapIdentityError once the target
-    has been passed. A single-point overlap is also an OverlapIdentityError.
+    either at exact equality or once the target has been passed. A passed
+    target or a single-point overlap is returned as the violation's detail.
     """
-    if not 1 <= index <= ifs.m - 1:
-        raise ValueError(f"pair index {index} outside 1..{ifs.m - 1}")
-    inter = ifs.piece(index).intersect(ifs.piece(index + 1))
-    return None if inter is None else _overlap_spec(ifs, index, inter)
-
-
-def _overlap_spec(ifs: Ifs, index: int, inter: Interval) -> OverlapSpec:
-    """``overlap_parameters`` for a pair whose hull images meet in ``inter``."""
     if inter.is_point:
-        raise OverlapIdentityError(
-            index, f"overlap is the single point {format_rational(inter.lo)}"
-        )
+        return f"overlap is the single point {format_rational(inter.lo)}"
     a = ifs.hull.lo
     b = ifs.hull.hi
     f_lo = ifs.map(index)
@@ -223,10 +206,9 @@ def _overlap_spec(ifs: Ifs, index: int, inter: Interval) -> OverlapSpec:
             raise SearchCapExceeded(f"tail search for pair {index} exceeded {SEARCH_CAP} steps")
         t = last(t)
     if f_lo(t) != inter.lo:
-        raise OverlapIdentityError(
-            index,
+        return (
             f"right-tail search passed the overlap's left endpoint at u={u} "
-            f"({format_rational(f_lo(t))} > {format_rational(inter.lo)})",
+            f"({format_rational(f_lo(t))} > {format_rational(inter.lo)})"
         )
 
     # Descend first^v(b) toward a until the (index+1)-side image hits the
@@ -239,10 +221,9 @@ def _overlap_spec(ifs: Ifs, index: int, inter: Interval) -> OverlapSpec:
             raise SearchCapExceeded(f"tail search for pair {index} exceeded {SEARCH_CAP} steps")
         t = first(t)
     if f_hi(t) != inter.hi:
-        raise OverlapIdentityError(
-            index,
+        return (
             f"left-tail search passed the overlap's right endpoint at v={v} "
-            f"({format_rational(f_hi(t))} < {format_rational(inter.hi)})",
+            f"({format_rational(f_hi(t))} < {format_rational(inter.hi)})"
         )
 
     composed = ifs.compose_word((index,) + (ifs.m,) * u)
@@ -250,9 +231,9 @@ def _overlap_spec(ifs: Ifs, index: int, inter: Interval) -> OverlapSpec:
     # Two increasing affine maps agreeing on both hull endpoints are equal,
     # so these can only differ through an implementation defect.
     if composed != mirror:
-        raise OverlapIdentityError(index, "composed maps disagree coefficient-wise")
+        return "composed maps disagree coefficient-wise"
     if composed.apply_interval(ifs.hull) != inter:
-        raise OverlapIdentityError(index, "composed image does not equal the overlap")
+        return "composed image does not equal the overlap"
     return OverlapSpec(index=index, u=u, v=v, overlap=inter, composed=composed)
 
 
@@ -333,10 +314,10 @@ def validate(ifs: Ifs) -> ValidationReport:
         if inter is None:
             disjoint.append(i)
             continue
-        try:
-            overlaps.append(_overlap_spec(ifs, i, inter))
-        except OverlapIdentityError as exc:
-            return fail(Condition.OVERLAP_IDENTITY, str(exc))
+        spec = _overlap_spec(ifs, i, inter)
+        if isinstance(spec, str):
+            return fail(Condition.OVERLAP_IDENTITY, f"pair ({i}, {i + 1}): {spec}")
+        overlaps.append(spec)
 
     # Consequence check: no hull image may contain another. This follows
     # from the four conditions, so a hit here is an internal inconsistency.

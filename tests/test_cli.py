@@ -17,6 +17,7 @@ from overlapifs import (
     CoverViolationError,
     EmptyGraphError,
     EmptyReducedSystemError,
+    InternalError,
     Interval,
     NestedImageError,
     PartitionInvariantError,
@@ -244,6 +245,51 @@ class TestClassifyGolden:
         assert report.read_bytes() == golden.read_bytes()
 
 
+# One non-member per reachable violation text, under tests/data/violations. The
+# leftmost-map and image-leaves-hull texts cannot be reached from a file: the
+# sort puts a map fixing the hull's left end first, and a map fixing a point of
+# the hull maps the hull into itself.
+VIOLATIONS = (
+    "ordering-rightmost", "ordering-left-endpoints", "separation", "adjacency-mix",
+    "single-point", "right-tail", "left-tail",
+)
+MEMBER_RUNS = {
+    "partition": ["partition"],
+    "dim-E": ["dim", "--set", "E"],
+    "dim-U1": ["dim", "--set", "U1"],
+    "witness-finite3": ["witness", "--target", "finite:3"],
+    "witness-aleph0": ["witness", "--target", "aleph0"],
+    "verify-1": ["verify", "--theorem", "1"],
+    "verify-2": ["verify", "--theorem", "2"],
+    "verify-3": ["verify", "--theorem", "3"],
+}
+# Every run above exits 0 except these.
+NONZERO_EXITS = {
+    **{f"validate-{name}": 1 for name in VIOLATIONS},
+    "verify-2-quad": 2, "verify-1-noend": 2, "verify-2-uneven": 2,
+}
+GOLDEN_RUNS = [
+    *((f"validate-{s}", ["validate", f"{s}.ifs"]) for s in ("quad", "noend", "uneven")),
+    *((f"validate-{v}", ["validate", f"violations/{v}.ifs"]) for v in VIOLATIONS),
+    *(
+        (f"{label}-{s}", [argv[0], f"{s}.ifs", *argv[1:]])
+        for label, argv in MEMBER_RUNS.items()
+        for s in ("quad", "noend", "uneven")
+    ),
+]
+
+
+class TestReportGolden:
+    """The other commands' ``--json`` reports and exit codes, pinned under tests/data/golden."""
+
+    @pytest.mark.parametrize("name,argv", GOLDEN_RUNS, ids=[name for name, _ in GOLDEN_RUNS])
+    def test_report_bytes(self, data_dir, tmp_path, name, argv):
+        report = tmp_path / "report.json"
+        code, _ = run([argv[0], str(data_dir / argv[1]), *argv[2:], "--json", str(report)])
+        assert code == NONZERO_EXITS.get(name, 0)
+        assert report.read_bytes() == (data_dir / "golden" / f"{name}.json").read_bytes()
+
+
 class TestWitnessCommand:
     def test_constructs_finite(self, quad_file):
         code, text = run(["witness", quad_file, "--target", "finite:2"])
@@ -309,20 +355,35 @@ class TestCheckedInSystems:
         assert code == 0 and "method: bisection" in text
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# Where each internal error is raised from; one missing here is raised from validate.
+# The walk is sorted in this order so that the test ids do not follow import order.
+RAISED_IN = {
+    WitnessVerificationError: ("make_witness", ["witness", "--target", "finite:2"]),
+    PartitionInvariantError: ("build_partition", ["partition"]),
+    CoverViolationError: ("build_partition", ["dim"]),
+    SearchCapExceeded: ("validate", ["validate"]),
+    EmptyReducedSystemError: ("reduced_system", ["dim", "--set", "U1"]),
+    EmptyGraphError: ("solve_dimension", ["dim", "--set", "U1"]),
+    NestedImageError: ("validate", ["validate"]),
+}
+INTERNAL_ERRORS = sorted(
+    _subclasses(InternalError),
+    key=lambda e: list(RAISED_IN).index(e) if e in RAISED_IN else len(RAISED_IN),
+)
+
+
 class TestInternalErrors:
     """A failed self-check inside the program exits 2 with an error line, not a traceback."""
 
     @pytest.mark.parametrize(
         "error,callee,command",
-        [
-            (WitnessVerificationError, "make_witness", ["witness", "--target", "finite:2"]),
-            (PartitionInvariantError, "build_partition", ["partition"]),
-            (CoverViolationError, "build_partition", ["dim"]),
-            (SearchCapExceeded, "validate", ["validate"]),
-            (EmptyReducedSystemError, "reduced_system", ["dim", "--set", "U1"]),
-            (EmptyGraphError, "solve_dimension", ["dim", "--set", "U1"]),
-            (NestedImageError, "validate", ["validate"]),
-        ],
+        [(e, *RAISED_IN.get(e, ("validate", ["validate"]))) for e in INTERNAL_ERRORS],
     )
     def test_exits_two(self, quad_file, monkeypatch, capsys, error, callee, command):
         def fail(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Coding engine: evaluation, residual graphs, classification, witnesses."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,7 @@ from overlapifs import (
     SymbolicPoint,
     UnreachableTargetError,
     WitnessRequest,
+    WitnessVerificationError,
     admissible_digits,
     build_residual_graph,
     classify_cardinality,
@@ -537,6 +539,17 @@ class TestWitnesses:
             assert classify_point(uneven, w.value) == Cardinality.finite(k)
         w = make_witness(uneven, uneven_report, WitnessRequest.countable())
         assert w.value == F(1, 9)
+
+    @pytest.mark.parametrize(
+        "system,target,tail",
+        [("quad", 3, "w=2;p=4"), ("noend", 2, "w=1;p=4"), ("uneven", 3, "w=2;p=3")],
+    )
+    def test_unverified_tail_raises(self, request, system, target, tail):
+        # max_nodes=1 leaves the tail's verdict unknown, so its self-check fails first
+        ifs, report = request.getfixturevalue(system), request.getfixturevalue(f"{system}_report")
+        expected = f"tail {tail} was expected to have a unique coding, classifier says unknown"
+        with pytest.raises(WitnessVerificationError, match=re.escape(expected)):
+            make_witness(ifs, report, WitnessRequest.finite(target), max_nodes=1)
 
     def test_witnesses_are_deterministic(self, quad, quad_report):
         a = make_witness(quad, quad_report, WitnessRequest.finite(3))

@@ -12,9 +12,7 @@ from overlapifs import (
     Ifs,
     Interval,
     NestedImageError,
-    OverlapIdentityError,
     end_case,
-    overlap_parameters,
     validate,
 )
 
@@ -208,33 +206,28 @@ class TestValidateViolations:
 
 
 class TestOverlapParameters:
-    def test_quad_first_pair(self, quad):
-        spec = overlap_parameters(quad, 1)
+    def test_quad_first_pair(self, quad_report):
+        spec = quad_report.overlap_at(1)
         assert (spec.u, spec.v) == (1, 1)
         assert spec.overlap == Interval(F(4, 25), F(1, 5))
         assert spec.composed == AffineMap(F(1, 25), F(4, 25))
 
-    def test_quad_gap_pair(self, quad):
-        assert overlap_parameters(quad, 2) is None
+    def test_quad_gap_pair(self, quad_report):
+        assert quad_report.overlap_at(2) is None
+        assert quad_report.disjoint_pairs == (2,)
 
-    def test_noend_middle_pair(self, noend):
-        spec = overlap_parameters(noend, 2)
+    def test_noend_middle_pair(self, noend_report):
+        spec = noend_report.overlap_at(2)
         assert (spec.u, spec.v) == (1, 1)
         assert spec.composed == AffineMap(F(1, 25), F(23, 50))
 
-    def test_uneven_pair_needs_two_step_tail(self, uneven):
-        spec = overlap_parameters(uneven, 1)
+    def test_uneven_pair_needs_two_step_tail(self, uneven, uneven_report):
+        spec = uneven_report.overlap_at(1)
         assert (spec.u, spec.v) == (2, 1)
         assert spec.composed == uneven.compose_word((1, 3, 3))
         assert spec.composed == uneven.compose_word((2, 1))
 
-    def test_index_range(self, quad):
-        with pytest.raises(ValueError):
-            overlap_parameters(quad, 0)
-        with pytest.raises(ValueError):
-            overlap_parameters(quad, 4)
-
-    def test_identity_violation_raises(self):
+    def test_identity_violation_reported(self):
         ifs = Ifs.from_maps(
             [
                 AffineMap(F(1, 5), F(0)),
@@ -242,9 +235,12 @@ class TestOverlapParameters:
                 AffineMap(F(1, 5), F(4, 5)),
             ]
         )
-        with pytest.raises(OverlapIdentityError):
-            overlap_parameters(ifs, 1)
-
+        violation = validate(ifs).violation
+        assert violation.condition is Condition.OVERLAP_IDENTITY
+        assert violation.detail == (
+            "pair (1, 2): right-tail search passed the overlap's left endpoint at u=2 "
+            "(24/125 > 17/100)"
+        )
 
     def test_validate_intersects_each_pair_once(self, monkeypatch):
         ifs = Ifs.from_maps(quad_maps())
@@ -252,16 +248,23 @@ class TestOverlapParameters:
         monkeypatch.setattr(Interval, "intersect", lambda a, b: calls.append(1) or intersect(a, b))
         report = validate(ifs)
         assert len(calls) == ifs.m - 1
-        monkeypatch.undo()
-        assert report.overlaps == (overlap_parameters(ifs, 1), overlap_parameters(ifs, 3))
+        assert [(s.index, s.u, s.v) for s in report.overlaps] == [(1, 1, 1), (3, 1, 1)]
 
     @pytest.mark.parametrize("index", range(10))
     def test_report_matches_overlap_parameters(self, index):
+        # Checked against the hull images themselves, not against validate's own path.
         ifs, _ = member_instances(29, 10)[index]
-        specs = [overlap_parameters(ifs, i) for i in range(1, ifs.m)]
         report = validate(ifs)
-        assert report.overlaps == tuple(s for s in specs if s is not None)
-        assert report.disjoint_pairs == tuple(i for i, s in enumerate(specs, 1) if s is None)
+        assert report.member
+        for i in range(1, ifs.m):
+            p, q = (ifs.map(d).apply_interval(ifs.hull) for d in (i, i + 1))
+            lo, hi = max(p.lo, q.lo), min(p.hi, q.hi)
+            spec = report.overlap_at(i)
+            assert (lo > hi) == (i in report.disjoint_pairs) == (spec is None)
+            if spec is not None:
+                composed = ifs.compose_word((i,) + (ifs.m,) * spec.u)
+                assert composed == ifs.compose_word((i + 1,) + (1,) * spec.v) == spec.composed
+                assert composed.apply_interval(ifs.hull) == Interval(lo, hi) == spec.overlap
 
     def test_nested_images_raise_internal_error(self, monkeypatch):
         # Every containment holding makes validate's consequence check fire.
