@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 from .exact import _Value, _setattr
@@ -109,21 +110,26 @@ def symbolic_point(ifs: Ifs, preperiod: Sequence[int], period: Sequence[int]) ->
 
 def admissible_digits(ifs: Ifs, x: Fraction) -> list[int]:
     """All digits whose hull image contains x (closed membership), ascending."""
+    return _digits(ifs, x.numerator, x.denominator)
+
+
+def _digits(ifs: Ifs, n: int, q: int) -> list[int]:
     den, _, pieces = ifs.bounds
-    q, p = x.denominator, x.numerator * den
+    p = n * den
     digits = [d for d, (lo, hi) in enumerate(pieces, 1) if lo * q <= p <= hi * q]
     # No point lies in three hull images once next-but-one images are disjoint.
-    assert len(digits) <= 2, f"point {x} lies in {len(digits)} images"
+    assert len(digits) <= 2, f"point {Fraction(n, q)} lies in {len(digits)} images"
     return digits
 
 
 class _Residuals:
     """Residuals of one system, each interned once as an id 0, 1, 2, ...
 
-    ``succ[i]`` holds the ids of the inverse images of ``values[i]`` through
-    its admissible digits ``labels[i]``, set when the residual is first
-    expanded. No residual is expanded twice, so every root walked over one
-    instance shares one graph.
+    ``pairs[i]``, the key of ``ids``, is residual i as a reduced pair of ints.
+    ``succ[i]`` holds the ids of its inverse images through its admissible
+    digits ``labels[i]``, set when it is first expanded: a map x -> (a*x + b) / c
+    of ``Ifs.integer_maps`` takes n/q back to (c*n - b*q) / (a*q). No residual
+    is expanded twice, so every root walked over one instance shares one graph.
     """
 
     def __init__(self, ifs: Ifs, xs: list[Fraction], max_nodes: int, max_depth: int):
@@ -134,25 +140,32 @@ class _Residuals:
             if not lo * x.denominator <= x.numerator * den <= hi * x.denominator:
                 raise PointNotInAttractorError(f"{x} lies outside the hull {ifs.hull}")
         self.ifs, self.max_nodes, self.max_depth = ifs, max_nodes, max_depth
-        self.ids: dict[Fraction, int] = {}
-        self.values: list[Fraction] = []
+        self.ids: dict[tuple[int, int], int] = {}
+        self.pairs: list[tuple[int, int]] = []
         self.labels: dict[int, list[int]] = {}
         self.succ: list[tuple[int, ...] | None] = []
-        self.roots = [self.intern(x) for x in xs]
+        self.roots = [self.intern(x.numerator, x.denominator) for x in xs]
 
-    def intern(self, x: Fraction) -> int:
-        i = self.ids.setdefault(x, len(self.values))
-        if i == len(self.values):
-            self.values.append(x)
+    def intern(self, num: int, den: int) -> int:
+        """The id of num/den (den > 0), reduced by one gcd."""
+        g = gcd(num, den)
+        pair = num // g, den // g
+        i = self.ids.setdefault(pair, len(self.pairs))
+        if i == len(self.pairs):
+            self.pairs.append(pair)
             self.succ.append(None)
         return i
+
+    def value(self, i: int) -> Fraction:
+        return Fraction(*self.pairs[i])
 
     def successors(self, i: int) -> tuple[int, ...]:
         out = self.succ[i]
         if out is None:
-            y = self.values[i]
-            digits = self.labels[i] = admissible_digits(self.ifs, y)
-            out = self.succ[i] = tuple(self.intern(self.ifs.map(d).invert(y)) for d in digits)
+            n, q = self.pairs[i]
+            digits = self.labels[i] = _digits(self.ifs, n, q)
+            steps = [self.ifs.integer_maps[d - 1] for d in digits]
+            out = self.succ[i] = tuple(self.intern(c * n - b * q, a * q) for a, b, c in steps)
         return out
 
     def walk(self, root: int) -> tuple[dict[int, int], list[int], str | None]:
@@ -206,7 +219,7 @@ class ResidualGraph(_Value):
 
     @property
     def root(self) -> Fraction:
-        return self.residuals.values[self.root_id]
+        return self.residuals.value(self.root_id)
 
     @property
     def exhausted(self) -> bool:
@@ -214,16 +227,16 @@ class ResidualGraph(_Value):
 
     @cached_property
     def adjacency(self) -> dict[Fraction, dict[int, Fraction]]:
-        res, value = self.residuals, self.residuals.values.__getitem__
+        res, value = self.residuals, self.residuals.value
         return {value(y): dict(zip(res.labels[y], map(value, res.succ[y]))) for y in self.expanded}
 
     @cached_property
     def unexpanded(self) -> frozenset[Fraction]:
-        return frozenset(map(self.residuals.values.__getitem__, self.depth.keys() - self.expanded))
+        return frozenset(map(self.residuals.value, self.depth.keys() - self.expanded))
 
     @property
     def nodes(self) -> set[Fraction]:
-        return set(map(self.residuals.values.__getitem__, self.depth))
+        return set(map(self.residuals.value, self.depth))
 
     @property
     def edges(self) -> set[tuple[Fraction, int, Fraction]]:
@@ -359,17 +372,20 @@ def classify_many(
     Each verdict (or PointNotInAttractorError) is that of
     ``classify_cardinality(build_residual_graph(...))`` with the same limits,
     but every residual is expanded once for the whole batch and the graph is
-    decided in one pass. Equal verdicts are one shared object.
+    decided in one pass. Equal verdicts are one shared object: one is built
+    per distinct limit or ``(flag, walks)`` fact.
     """
     values = list(values)
     res = _Residuals(ifs, values, max_nodes, max_depth)
     limits = [res.walk(root)[2] for root in res.roots]
-    facts = res.facts()
-    shared: dict[Cardinality, Cardinality] = {}
+    flag, walks = res.facts()
+    shared: dict[object, Cardinality] = {}
     verdicts = []
     for x, root, limit in zip(values, res.roots, limits):
-        verdict = Cardinality.unknown(limit) if limit else _verdict(*facts, root, x)
-        verdicts.append(shared.setdefault(verdict, verdict))
+        key = limit or (flag[root], walks[root])
+        if key not in shared:
+            shared[key] = Cardinality.unknown(limit) if limit else _verdict(flag, walks, root, x)
+        verdicts.append(shared[key])
     return verdicts
 
 

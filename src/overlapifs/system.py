@@ -98,6 +98,12 @@ class Ifs(_Value):
         hull, *pieces = [(int(iv.lo * den), int(iv.hi * den)) for iv in ivs]
         return den, hull, tuple(pieces)
 
+    @cached_property
+    def integer_maps(self) -> tuple[tuple[int, int, int], ...]:
+        """Each map as integers ``(a, b, c)`` over one common ``c``: x -> (a*x + b) / c."""
+        c = lcm(*(v.denominator for f in self.maps for v in (f.ratio, f.offset)))
+        return tuple((int(f.ratio * c), int(f.offset * c), c) for f in self.maps)
+
     def _index(self, digit: int) -> int:
         if not 1 <= digit <= self.m:
             raise ValueError(f"digit {digit} outside 1..{self.m}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
 from .codings import (
     DEFAULT_MAX_DEPTH,
@@ -103,19 +103,17 @@ def dichotomy_sweep(
     distinct points in one ``classify_many`` call. A value is the composed
     map of its preperiod at the fixed point of its period, in integers: each
     word's map (a, b, c), x -> (a x + b) / c, extends the word one digit
-    shorter, and each value is a reduced (numerator, denominator) pair, so it
-    equals ``evaluate``'s exactly. Returns tallies plus any verdicts that
+    shorter by one of ``Ifs.integer_maps``, and each value is a reduced
+    (numerator, denominator) pair, so it equals ``evaluate``'s exactly. Returns tallies plus any verdicts that
     break the power-of-two dichotomy (a finite count that is not a power of
     two, or a countable verdict).
     """
-    common = lcm(*(v.denominator for f in ifs.maps for v in (f.ratio, f.offset)))
-    maps = [(int(f.ratio * common), int(f.offset * common), common) for f in ifs.maps]
     levels = [[((), (1, 0, 1))]]  # the words of each length with their maps, from the identity
     for _ in range(max(max_preperiod, max_period)):
         levels.append([
             (w + (d,), (a * p, a * q + b * r, c * r))
             for w, (a, b, c) in levels[-1]
-            for d, (p, q, r) in enumerate(maps, 1)
+            for d, (p, q, r) in enumerate(ifs.integer_maps, 1)
         ])
     heads = [word for n in range(max_preperiod + 1) for word in levels[n]]
     # each period with its fixed point b / (c - a)

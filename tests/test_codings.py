@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -389,11 +390,29 @@ class TestGraphView:
         # nodes the second image of each is interned but never reached, and
         # neither node is expanded
         g = build_residual_graph(quad, F(1, 6), max_nodes=2)
-        assert g.residuals.values == [F(1, 6), F(5, 6), F(1, 30), F(29, 30)]
+        assert g.residuals.pairs == [(1, 6), (5, 6), (1, 30), (29, 30)]
         assert g.depth == {0: 0, 1: 1} and g.expanded == []
         assert g.adjacency == {} and g.unexpanded == {F(1, 6), F(5, 6)}
         assert enumerate_codings(quad, F(1, 6), 1, graph=g) == []
         assert classify_cardinality(g) == Cardinality.unknown("max_nodes")
+
+    def test_walk_never_inverts_a_map(self, noend, quad, monkeypatch):
+        # the walk steps reduced integer pairs through Ifs.integer_maps;
+        # AffineMap.invert is the Fraction reference's path only
+        values = list(sweep_words(noend))
+        ref = reference_residual_graph(quad, F(109, 625), DEFAULT_MAX_NODES, DEFAULT_MAX_DEPTH)
+
+        def refuse(self, y):
+            raise AssertionError("the residual walk inverted a map")
+
+        monkeypatch.setattr(AffineMap, "invert", refuse)
+        got = classify_many(noend, values)
+        assert Counter(str(v) for v in got) == {
+            "finite(1)": 2664, "finite(2)": 964, "finite(4)": 27, "continuum": 1345
+        }
+        g = build_residual_graph(quad, F(109, 625))
+        assert g.nodes == ref.nodes and g.edges == ref.edges
+        assert classify_cardinality(g) == Cardinality.finite(2)
 
     def test_one_tarjan_pass_per_graph(self, quad, monkeypatch):
         calls = []
@@ -408,6 +427,39 @@ class TestGraphView:
         assert classify_cardinality(g) == Cardinality.finite(2)
         assert enumerate_codings(quad, g.root, 4, graph=g)
         assert len(calls) == 1
+
+
+class TestBigDenominators:
+    """Long random words, as in the sparse-points benchmark, give residuals with big
+    numerators and denominators: the integer-pair walk against the Fraction walk."""
+
+    @pytest.mark.parametrize("name", ["quad", "uneven", "unequal-0", "unequal-6"])
+    def test_matches_reference_and_oracle(self, name):
+        ifs = TestGraphView.system(name)
+        if name.startswith("unequal"):
+            assert sum(f.ratio.numerator != 1 for f in ifs.maps) >= 2
+        rng = random.Random(12)
+        digits = range(1, ifs.m + 1)
+        values = [
+            evaluate(
+                ifs,
+                [rng.choice(digits) for _ in range(rng.randint(12, 24))],
+                [rng.choice(digits) for _ in range(rng.randint(3, 8))],
+            )
+            for _ in range(12)
+        ]
+        assert max(x.denominator for x in values) > 10**20
+        verdicts = classify_many(ifs, values)
+        for x, verdict in zip(values, verdicts):
+            g = build_residual_graph(ifs, x)
+            ref = reference_residual_graph(ifs, x, DEFAULT_MAX_NODES, DEFAULT_MAX_DEPTH)
+            assert g.exhausted and ref.exhausted
+            assert g.root == ref.root and g.nodes == ref.nodes and g.edges == ref.edges
+            assert list(g.adjacency.items()) == list(ref.adjacency.items())
+            assert classify_cardinality(g) == verdict
+            assert (verdict.kind, verdict.count) == oracle_classify(ref), x
+            for k in (1, 4, 8):
+                assert enumerate_codings(ifs, x, k) == reference_codings(ref, k)
 
 
 class TestPrefixForcing:

@@ -12,6 +12,7 @@ from overlapifs import (
     Ifs,
     Interval,
     NestedImageError,
+    Violation,
     end_case,
     validate,
 )
@@ -135,6 +136,26 @@ class TestValidateViolations:
         assert not report.member
         assert report.violation.condition is Condition.ORDERING
         assert "rightmost" in report.violation.detail
+
+    def test_leftmost_map_off_a_hand_built_hull(self):
+        # from_maps takes the hull from the fixed points and sorts the map
+        # fixing its left end first, so only a hand-built hull reaches this
+        report = validate(Ifs(tuple(quad_maps()), Interval(F(-1), F(1))))
+        assert report.violation == Violation(
+            Condition.ORDERING, "leftmost map fixes 0, not the hull's left endpoint -1"
+        )
+
+    def test_image_leaves_a_hand_built_hull(self):
+        # map 2 fixes 6/5, so from_maps would take [0, 6/5] as the hull and
+        # report map 3 as not fixing its right end; on [0, 1] it leaves the hull
+        maps = (
+            AffineMap(F(1, 5), F(0)),
+            AffineMap(F(1, 2), F(3, 5)),
+            AffineMap(F(1, 10), F(9, 10)),
+        )
+        report = validate(Ifs(maps, Interval(F(0), F(1))))
+        assert report.violation == Violation(Condition.ORDERING, "image of map 2 leaves the hull")
+        assert "rightmost" in validate(Ifs.from_maps(maps)).violation.detail
 
     def test_next_but_one_touching(self):
         # piece 1 ends exactly where piece 3 begins (both at 4/5)
