@@ -397,8 +397,8 @@ class TestGraphView:
         assert classify_cardinality(g) == Cardinality.unknown("max_nodes")
 
     def test_walk_never_inverts_a_map(self, noend, quad, monkeypatch):
-        # the walk steps reduced integer pairs through Ifs.integer_maps;
-        # AffineMap.invert is the Fraction reference's path only
+        # the walk steps reduced integer pairs through Ifs.integer_maps and
+        # never calls AffineMap.invert, which the Fraction reference walk uses
         values = list(sweep_words(noend))
         ref = reference_residual_graph(quad, F(109, 625), DEFAULT_MAX_NODES, DEFAULT_MAX_DEPTH)
 
