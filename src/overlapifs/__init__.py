@@ -15,7 +15,6 @@ from .codings import (
     UnreachableTargetError,
     WitnessRequest,
     WitnessVerificationError,
-    admissible_digits,
     build_residual_graph,
     classify_cardinality,
     classify_many,

@@ -344,8 +344,8 @@ def _cmd_classify(args, out) -> int:
             "display": str(verdict),
         },
         "graph": {
-            "nodes": len(graph.nodes),
-            "edges": len(graph.edges),
+            "nodes": len(graph.depth),
+            "edges": sum(len(graph.residuals.succ[y]) for y in graph.expanded),
             "exhausted": graph.exhausted,
         },
         "prefixes": {

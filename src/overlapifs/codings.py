@@ -30,7 +30,6 @@ __all__ = [
     "UnreachableTargetError",
     "WitnessRequest",
     "WitnessVerificationError",
-    "admissible_digits",
     "build_residual_graph",
     "classify_cardinality",
     "classify_many",
@@ -108,12 +107,8 @@ def symbolic_point(ifs: Ifs, preperiod: Sequence[int], period: Sequence[int]) ->
     return SymbolicPoint(tuple(preperiod), tuple(period), value)
 
 
-def admissible_digits(ifs: Ifs, x: Fraction) -> list[int]:
-    """All digits whose hull image contains x (closed membership), ascending."""
-    return _digits(ifs, x.numerator, x.denominator)
-
-
 def _digits(ifs: Ifs, n: int, q: int) -> list[int]:
+    """All digits whose hull image contains n/q (closed membership), ascending."""
     den, _, pieces = ifs.bounds
     p = n * den
     digits = [d for d, (lo, hi) in enumerate(pieces, 1) if lo * q <= p <= hi * q]
@@ -129,7 +124,8 @@ class _Residuals:
     ``succ[i]`` holds the ids of its inverse images through its admissible
     digits ``labels[i]``, set when it is first expanded: a map x -> (a*x + b) / c
     of ``Ifs.integer_maps`` takes n/q back to (c*n - b*q) / (a*q). No residual
-    is expanded twice, so every root walked over one instance shares one graph.
+    is expanded twice, so all roots over one instance share one graph, whether
+    ``expand`` reaches it from every root in one pass or ``walk`` from one root.
     """
 
     def __init__(self, ifs: Ifs, xs: list[Fraction], max_nodes: int, max_depth: int):
@@ -168,10 +164,22 @@ class _Residuals:
             out = self.succ[i] = tuple(self.intern(c * n - b * q, a * q) for a, b, c in steps)
         return out
 
+    def expand(self, cap: int) -> bool:
+        """Expand every id reachable from the roots, in the order interned, while
+        at most ``cap`` ids are interned. True when none is left unexpanded.
+        Each interned id is a root or a successor, so the order is breadth-first."""
+        i = 0
+        while i < len(self.pairs) <= cap:
+            self.successors(i)
+            i += 1
+        return i == len(self.pairs)
+
     def walk(self, root: int) -> tuple[dict[int, int], list[int], str | None]:
         """Breadth-first closure of one root within the limits: the depth of each
         discovered id, the ids expanded in the order reached, and the limit
-        that left some id unexpanded (None exactly when none was left)."""
+        that left some id unexpanded (None exactly when none was left). A root
+        that reaches at most L = min(max_nodes, max_depth) ids hits no limit:
+        it discovers no more ids than it reaches, each at a depth below L."""
         depth = {root: 0}
         queue = deque([root])
         expanded: list[int] = []
@@ -192,10 +200,9 @@ class _Residuals:
                 expanded.append(y)
         return depth, expanded, limit_hit
 
-    def facts(self) -> tuple[bytearray, list[int]]:
-        """``_facts`` of every id interned so far. An id never expanded gets a self-loop,
-        so pruning never proves it dead; a root whose walk hit no limit reaches none."""
-        return _facts([(y,) if out is None else out for y, out in enumerate(self.succ)])
+    def facts(self) -> tuple[bytearray, list[int], list[int]]:
+        """``_facts`` of every id interned so far, sizes capped past min(max_nodes, max_depth)."""
+        return _facts(self.succ, min(self.max_nodes, self.max_depth))
 
 
 class ResidualGraph(_Value):
@@ -243,7 +250,7 @@ class ResidualGraph(_Value):
         return {(y, d, z) for y, out in self.adjacency.items() for d, z in out.items()}
 
     @cached_property
-    def facts(self) -> tuple[bytearray, list[int]]:
+    def facts(self) -> tuple[bytearray, list[int], list[int]]:
         return self.residuals.facts()
 
 
@@ -308,34 +315,52 @@ class Cardinality(_Value):
         return self.kind
 
 
-def _facts(succ: Sequence[Sequence[int]]) -> tuple[bytearray, list[int]]:
+def _facts(
+    succ: Sequence[Sequence[int] | None], bound: int
+) -> tuple[bytearray, list[int], list[int]]:
     """Root-independent facts of every node y of a graph on ids 0..n-1.
 
-    ``walks[y]`` is 0 exactly when y has no infinite path (dead-end pruning
-    removes it). ``flag[y]`` is 2 when y reaches a cycle with a branch inside
-    (a continuum of paths), else 1 when it reaches a cycle with an exit to a
-    live node (countably many: the exit leads to a cycle again), else 0, and
-    then ``walks[y]`` counts the walks from y into terminal cycles. Tarjan
-    emits components callees first, so successors' facts are always ready.
+    ``succ[y]`` is None for a node never expanded: it gets a self-loop, so
+    pruning never proves it dead. ``walks[y]`` is 0 exactly when y has no
+    infinite path (dead-end pruning removes it). ``flag[y]`` is 2 when y
+    reaches a cycle with a branch inside (a continuum of paths), else 1 when
+    it reaches a cycle with an exit to a live node (countably many: the exit
+    leads to a cycle again), else 0, and then ``walks[y]`` counts the walks
+    from y into terminal cycles. ``size[y]`` bounds the number of nodes y
+    reaches, y included: its component's size plus its exits' sizes, capped
+    at ``bound + 1``, which a node never expanded and all that reach it get.
+    Tarjan emits components callees first, so successors' facts are always ready.
     """
-    comp = [-1] * len(succ)
-    flag = bytearray(len(succ))
-    walks = [0] * len(succ)
-    for c, nodes in enumerate(strongly_connected_components(succ)):
+    graph = [(y,) if out is None else out for y, out in enumerate(succ)]
+    comp = [-1] * len(graph)
+    flag = bytearray(len(graph))
+    walks = [0] * len(graph)
+    size = [0] * len(graph)
+    for c, nodes in enumerate(strongly_connected_components(graph)):
         for y in nodes:
             comp[y] = c
-        cyclic = len(nodes) > 1 or nodes[0] in succ[nodes[0]]
-        f = 0
+        cyclic = len(nodes) > 1 or nodes[0] in graph[nodes[0]]
+        f = w = 0
+        # A node never expanded reaches only itself, so it is a component alone.
+        u = len(nodes) if succ[nodes[0]] is not None else bound + 1
         for y in nodes:
-            if sum(comp[z] == c for z in succ[y]) > 1:
+            inner = 0
+            for z in graph[y]:
+                if comp[z] == c:
+                    inner += 1
+                else:
+                    u += size[z]
+                    w += walks[z]
+                    if walks[z]:
+                        f = max(f, cyclic, flag[z])
+            if inner > 1:
                 f = 2
-            for z in succ[y]:
-                if comp[z] != c and walks[z]:
-                    f = max(f, cyclic, flag[z])
+        u = min(u, bound + 1)
         for y in nodes:
             flag[y] = f
-            walks[y] = 1 if cyclic or f else sum(walks[z] for z in succ[y])
-    return flag, walks
+            walks[y] = 1 if cyclic or f else w
+            size[y] = u
+    return flag, walks, size
 
 
 def _verdict(flag: bytearray, walks: list[int], y: int, value: Fraction) -> Cardinality:
@@ -358,7 +383,7 @@ def classify_cardinality(graph: ResidualGraph) -> Cardinality:
     """
     if not graph.exhausted:
         return Cardinality.unknown(graph.limit_hit)
-    return _verdict(*graph.facts, graph.root_id, graph.root)
+    return _verdict(*graph.facts[:2], graph.root_id, graph.root)
 
 
 def classify_many(
@@ -370,18 +395,28 @@ def classify_many(
     """Classify a batch of points over one shared residual graph.
 
     Each verdict (or PointNotInAttractorError) is that of
-    ``classify_cardinality(build_residual_graph(...))`` with the same limits,
-    but every residual is expanded once for the whole batch and the graph is
-    decided in one pass. Equal verdicts are one shared object: one is built
-    per distinct limit or ``(flag, walks)`` fact.
+    ``classify_cardinality(build_residual_graph(...))`` with the same limits.
+    One pass expands every residual the batch reaches, up to ``max_nodes``
+    ids per distinct point, and one Tarjan pass decides them all. Only the
+    points whose size bound exceeds min(max_nodes, max_depth) walk to learn
+    whether they hit a limit (see ``_Residuals.walk``), and if the pass
+    stopped at its cap the facts are taken again after those walks. Equal
+    verdicts are one shared object: one is built per distinct limit or
+    ``(flag, walks)`` fact.
     """
     values = list(values)
     res = _Residuals(ifs, values, max_nodes, max_depth)
-    limits = [res.walk(root)[2] for root in res.roots]
-    flag, walks = res.facts()
+    roots = dict.fromkeys(res.roots)
+    complete = res.expand(max_nodes * len(roots))
+    flag, walks, size = res.facts()
+    bound = min(max_nodes, max_depth)
+    limits = {root: res.walk(root)[2] for root in roots if size[root] > bound}
+    if not complete:
+        flag, walks, _ = res.facts()
     shared: dict[object, Cardinality] = {}
     verdicts = []
-    for x, root, limit in zip(values, res.roots, limits):
+    for x, root in zip(values, res.roots):
+        limit = limits.get(root)
         key = limit or (flag[root], walks[root])
         if key not in shared:
             shared[key] = Cardinality.unknown(limit) if limit else _verdict(flag, walks, root, x)

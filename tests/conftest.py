@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from overlapifs import AffineMap, Ifs, admissible_digits, evaluate, validate
+from overlapifs import AffineMap, Ifs, evaluate, validate
 from overlapifs.scc import strongly_connected_components
 
 DATA = Path(__file__).parent / "data"
@@ -224,6 +224,12 @@ def strongly_connected(gds) -> bool:
 def member_instances(seed: int, count: int):
     rng = random.Random(seed)
     return [random_member(rng) for _ in range(count)]
+
+
+def admissible_digits(ifs: Ifs, x: F) -> list[int]:
+    """All digits whose Fraction hull image contains x (closed membership),
+    ascending: the reference for the walk's integer hull test."""
+    return [d for d in range(1, ifs.m + 1) if ifs.piece(d).contains(x)]
 
 
 def reference_residual_graph(ifs: Ifs, x: F, max_nodes: int, max_depth: int) -> SimpleNamespace:

@@ -9,6 +9,7 @@ import pytest
 
 import overlapifs.codings
 from conftest import (
+    admissible_digits,
     noend_maps,
     oracle_classify,
     prefix_count_series,
@@ -29,7 +30,6 @@ from overlapifs import (
     UnreachableTargetError,
     WitnessRequest,
     WitnessVerificationError,
-    admissible_digits,
     build_residual_graph,
     classify_cardinality,
     classify_many,
@@ -81,6 +81,11 @@ class TestEvaluate:
             SymbolicPoint.parse(text, quad)
 
 
+def digits(ifs, x):
+    """The walk's integer hull test on x."""
+    return overlapifs.codings._digits(ifs, x.numerator, x.denominator)
+
+
 class TestAdmissibleDigits:
     @pytest.mark.parametrize(
         "x,expected",
@@ -94,7 +99,7 @@ class TestAdmissibleDigits:
         ],
     )
     def test_quad(self, quad, x, expected):
-        assert admissible_digits(quad, x) == expected
+        assert digits(quad, x) == admissible_digits(quad, x) == expected
 
 
 def _conjugate(maps, a, c):
@@ -126,12 +131,12 @@ class TestAdmissibleDigitsDifferential:
 
     @staticmethod
     def check(ifs, x):
-        expected = [d for d in range(1, ifs.m + 1) if ifs.piece(d).contains(x)]
+        expected = admissible_digits(ifs, x)
         if len(expected) > 2:
             with pytest.raises(AssertionError, match=f"lies in {len(expected)} images"):
-                admissible_digits(ifs, x)
+                digits(ifs, x)
         else:
-            assert admissible_digits(ifs, x) == expected
+            assert digits(ifs, x) == expected
 
     @pytest.mark.parametrize("ifs", HULL_SYSTEMS)
     def test_endpoints_and_neighbours(self, ifs):
@@ -152,7 +157,7 @@ class TestAdmissibleDigitsDifferential:
 
     def test_three_images_still_assert(self):
         with pytest.raises(AssertionError, match="point 1/2 lies in 3 images"):
-            admissible_digits(THREE_IMAGES, F(1, 2))
+            digits(THREE_IMAGES, F(1, 2))
 
     def test_hull_check_is_closed(self):
         lo, hi = NEGATIVE_HULL.hull.lo, NEGATIVE_HULL.hull.hi
@@ -255,13 +260,65 @@ def random_words(rng, ifs, count):
     ]
 
 
+SMALL_LIMITS = [(1, 1), (3, 512), (4096, 2), (50, 5), (7, 3)]
+
+
+def spy(monkeypatch, name):
+    """Record the result of each call of ``_Residuals.<name>``."""
+    results = []
+    method = getattr(overlapifs.codings._Residuals, name)
+
+    def recorded(self, *args):
+        results.append(method(self, *args))
+        return results[-1]
+
+    monkeypatch.setattr(overlapifs.codings._Residuals, name, recorded)
+    return results
+
+
 class TestClassifyMany:
     """One shared graph for a batch gives the per-point verdicts exactly."""
 
-    def test_full_noend_sweep_matches_per_point(self, noend):
+    def test_full_noend_sweep_matches_per_point(self, noend, monkeypatch):
+        # every sweep point's size bound from the one pass is within the
+        # default limits, so the batch walks no root on its own
         values = list(sweep_words(noend))
         assert len(values) == 5000
-        assert classify_many(noend, values) == per_point(noend, values)
+        expected = per_point(noend, values)
+        walks = spy(monkeypatch, "walk")
+        assert classify_many(noend, values) == expected
+        assert walks == []
+
+    @pytest.mark.parametrize("limits", SMALL_LIMITS)
+    @pytest.mark.parametrize(
+        "name", ["quad", "noend", "uneven", "member-3", "member-4", "unequal-3", "unequal-4"]
+    )
+    def test_small_limits_match_per_point(self, name, limits):
+        ifs = TestGraphView.system(name)
+        if name in ("quad", "noend", "uneven"):
+            values = list(sweep_words(ifs, 3, 2))
+        else:
+            values = [evaluate(ifs, pre, per) for pre, per in random_words(random.Random(9), ifs, 60)]
+        got = classify_many(ifs, values, *limits)
+        assert got == per_point(ifs, values, max_nodes=limits[0], max_depth=limits[1])
+
+    @pytest.mark.parametrize(
+        "values,max_nodes,expected",
+        [
+            ([F(1, 6), F(1), F(1, 6)], 2, ["unknown(max_nodes)", "finite(1)", "unknown(max_nodes)"]),
+            ([F(1, 6), F(4, 25)], 3, ["unknown(max_nodes)", "countably-infinite"]),
+        ],
+    )
+    def test_capped_pass_takes_the_facts_again(self, quad, monkeypatch, values, max_nodes, expected):
+        # 1/6 reaches four residuals: more than max_nodes per distinct root are
+        # reached, so the one pass stops early and leaves some unexpanded. 4/25
+        # reaches three, not all expanded by the pass; its walk expands the
+        # rest, and only facts taken after that walk read it as countable.
+        passes = spy(monkeypatch, "expand")
+        got = classify_many(quad, values, max_nodes=max_nodes)
+        assert passes == [False]
+        assert got == per_point(quad, values, max_nodes=max_nodes)
+        assert [str(v) for v in got] == expected
 
     @pytest.mark.parametrize("kind", ["equal", "unequal"])
     def test_seeded_members_match_per_point_and_oracle(self, kind):
