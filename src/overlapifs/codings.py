@@ -107,45 +107,36 @@ def symbolic_point(ifs: Ifs, preperiod: Sequence[int], period: Sequence[int]) ->
     return SymbolicPoint(tuple(preperiod), tuple(period), value)
 
 
-def _digits(ifs: Ifs, n: int, q: int) -> list[int]:
-    """All digits whose hull image contains n/q (closed membership), ascending."""
-    den, _, pieces = ifs.bounds
-    p = n * den
-    digits = [d for d, (lo, hi) in enumerate(pieces, 1) if lo * q <= p <= hi * q]
-    # No point lies in three hull images once next-but-one images are disjoint.
-    assert len(digits) <= 2, f"point {Fraction(n, q)} lies in {len(digits)} images"
-    return digits
-
-
 class _Residuals:
     """Residuals of one system, each interned once as an id 0, 1, 2, ...
 
-    ``pairs[i]``, the key of ``ids``, is residual i as a reduced pair of ints.
-    ``succ[i]`` holds the ids of its inverse images through its admissible
-    digits ``labels[i]``, set when it is first expanded: a map x -> (a*x + b) / c
-    of ``Ifs.integer_maps`` takes n/q back to (c*n - b*q) / (a*q). No residual
-    is expanded twice, so all roots over one instance share one graph, whether
-    ``expand`` reaches it from every root in one pass or ``walk`` from one root.
+    ``pairs[i]``, the key of ``ids``, is residual i as a reduced pair of ints,
+    as are the roots. ``succ[i]`` holds the ids of its inverse images through
+    its admissible digits ``labels[i]``, set by ``successors`` in one loop
+    over rows ``(d, lo, hi, a, b, c)``: if hull image [lo, hi] / den contains
+    n/q, the map x -> (a*x + b) / c takes it back to (c*n - b*q) / (a*q),
+    interned reduced. No residual is expanded twice, so all roots over one
+    instance share one graph, whether ``expand`` reaches it from every root
+    in one pass or ``walk`` from one root.
     """
 
-    def __init__(self, ifs: Ifs, xs: list[Fraction], max_nodes: int, max_depth: int):
+    def __init__(self, ifs: Ifs, roots: Sequence[tuple[int, int]], max_nodes: int, max_depth: int):
         if max_nodes < 1 or max_depth < 1:
             raise ValueError("max_nodes and max_depth must be >= 1")
-        den, (lo, hi), _ = ifs.bounds
-        for x in xs:
-            if not lo * x.denominator <= x.numerator * den <= hi * x.denominator:
-                raise PointNotInAttractorError(f"{x} lies outside the hull {ifs.hull}")
-        self.ifs, self.max_nodes, self.max_depth = ifs, max_nodes, max_depth
+        den, (lo, hi), pieces = ifs.bounds
+        for n, q in roots:
+            if not lo * q <= n * den <= hi * q:
+                raise PointNotInAttractorError(f"{Fraction(n, q)} lies outside the hull {ifs.hull}")
+        self.rows = [(d, *iv, *f) for d, (iv, f) in enumerate(zip(pieces, ifs.integer_maps), 1)]
+        self.den, self.max_nodes, self.max_depth = den, max_nodes, max_depth
         self.ids: dict[tuple[int, int], int] = {}
         self.pairs: list[tuple[int, int]] = []
         self.labels: dict[int, list[int]] = {}
         self.succ: list[tuple[int, ...] | None] = []
-        self.roots = [self.intern(x.numerator, x.denominator) for x in xs]
+        self.roots = [self.intern(pair) for pair in roots]
 
-    def intern(self, num: int, den: int) -> int:
-        """The id of num/den (den > 0), reduced by one gcd."""
-        g = gcd(num, den)
-        pair = num // g, den // g
+    def intern(self, pair: tuple[int, int]) -> int:
+        """The id of a reduced pair (num, den), den > 0."""
         i = self.ids.setdefault(pair, len(self.pairs))
         if i == len(self.pairs):
             self.pairs.append(pair)
@@ -158,10 +149,25 @@ class _Residuals:
     def successors(self, i: int) -> tuple[int, ...]:
         out = self.succ[i]
         if out is None:
-            n, q = self.pairs[i]
-            digits = self.labels[i] = _digits(self.ifs, n, q)
-            steps = [self.ifs.integer_maps[d - 1] for d in digits]
-            out = self.succ[i] = tuple(self.intern(c * n - b * q, a * q) for a, b, c in steps)
+            ids, pairs, succ = self.ids, self.pairs, self.succ
+            n, q = pairs[i]
+            p = n * self.den
+            digits, found = [], []
+            for d, lo, hi, a, b, c in self.rows:
+                if lo * q <= p <= hi * q:
+                    num, den = c * n - b * q, a * q
+                    g = gcd(num, den)
+                    pair = num // g, den // g
+                    j = ids.setdefault(pair, len(pairs))
+                    if j == len(pairs):
+                        pairs.append(pair)
+                        succ.append(None)
+                    digits.append(d)
+                    found.append(j)
+            # No point lies in three hull images once next-but-one images are disjoint.
+            assert len(digits) <= 2, f"point {Fraction(n, q)} lies in {len(digits)} images"
+            self.labels[i] = digits
+            out = succ[i] = tuple(found)
         return out
 
     def expand(self, cap: int) -> bool:
@@ -266,7 +272,7 @@ def build_residual_graph(
     classifier's job. Limits never raise, they only mark the graph as not
     exhausted.
     """
-    res = _Residuals(ifs, [x], max_nodes, max_depth)
+    res = _Residuals(ifs, [(x.numerator, x.denominator)], max_nodes, max_depth)
     return ResidualGraph(res, res.roots[0], *res.walk(res.roots[0]))
 
 
@@ -363,10 +369,10 @@ def _facts(
     return flag, walks, size
 
 
-def _verdict(flag: bytearray, walks: list[int], y: int, value: Fraction) -> Cardinality:
+def _verdict(res: _Residuals, flag: bytearray, walks: list[int], y: int) -> Cardinality:
     if not walks[y]:
         raise PointNotInAttractorError(
-            f"{value} has no infinite digit path; it is not an attractor point"
+            f"{res.value(y)} has no infinite digit path; it is not an attractor point"
         )
     if flag[y]:
         return Cardinality.continuum() if flag[y] == 2 else Cardinality.countable()
@@ -383,7 +389,7 @@ def classify_cardinality(graph: ResidualGraph) -> Cardinality:
     """
     if not graph.exhausted:
         return Cardinality.unknown(graph.limit_hit)
-    return _verdict(*graph.facts[:2], graph.root_id, graph.root)
+    return _verdict(graph.residuals, *graph.facts[:2], graph.root_id)
 
 
 def classify_many(
@@ -396,16 +402,22 @@ def classify_many(
 
     Each verdict (or PointNotInAttractorError) is that of
     ``classify_cardinality(build_residual_graph(...))`` with the same limits.
+    """
+    return _classify(ifs, [(x.numerator, x.denominator) for x in values], max_nodes, max_depth)
+
+
+def _classify(
+    ifs: Ifs, pairs: Sequence[tuple[int, int]], max_nodes: int, max_depth: int
+) -> list[Cardinality]:
+    """``classify_many`` on points as reduced ``(num, den)`` pairs, den > 0.
     One pass expands every residual the batch reaches, up to ``max_nodes``
     ids per distinct point, and one Tarjan pass decides them all. Only the
     points whose size bound exceeds min(max_nodes, max_depth) walk to learn
     whether they hit a limit (see ``_Residuals.walk``), and if the pass
     stopped at its cap the facts are taken again after those walks. Equal
     verdicts are one shared object: one is built per distinct limit or
-    ``(flag, walks)`` fact.
-    """
-    values = list(values)
-    res = _Residuals(ifs, values, max_nodes, max_depth)
+    ``(flag, walks)`` fact."""
+    res = _Residuals(ifs, pairs, max_nodes, max_depth)
     roots = dict.fromkeys(res.roots)
     complete = res.expand(max_nodes * len(roots))
     flag, walks, size = res.facts()
@@ -415,11 +427,11 @@ def classify_many(
         flag, walks, _ = res.facts()
     shared: dict[object, Cardinality] = {}
     verdicts = []
-    for x, root in zip(values, res.roots):
+    for root in res.roots:
         limit = limits.get(root)
         key = limit or (flag[root], walks[root])
         if key not in shared:
-            shared[key] = Cardinality.unknown(limit) if limit else _verdict(flag, walks, root, x)
+            shared[key] = Cardinality.unknown(limit) if limit else _verdict(res, flag, walks, root)
         verdicts.append(shared[key])
     return verdicts
 

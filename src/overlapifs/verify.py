@@ -7,7 +7,6 @@ command line and the test suite.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -17,6 +16,7 @@ from .codings import (
     Cardinality,
     UnreachableTargetError,
     WitnessRequest,
+    _classify,
     classify_many,
     evaluate,
     make_witness,
@@ -100,14 +100,17 @@ def dichotomy_sweep(
 
     Enumerates every word with the given preperiod and period bounds in a
     fixed order, deduplicates by exact value and classifies up to ``cap``
-    distinct points in one ``classify_many`` call. A value is the composed
-    map of its preperiod at the fixed point of its period, in integers: each
-    word's map (a, b, c), x -> (a x + b) / c, extends the word one digit
-    shorter by one of ``Ifs.integer_maps``, and each value is a reduced
-    (numerator, denominator) pair, so it equals ``evaluate``'s exactly. Returns tallies plus any verdicts that
-    break the power-of-two dichotomy (a finite count that is not a power of
-    two, or a countable verdict).
+    (>= 0) distinct points in one batch. A value is the composed map of its
+    preperiod at the fixed point of its period, in integers: each word's map
+    (a, b, c), x -> (a x + b) / c, extends the word one digit shorter by one
+    of ``Ifs.integer_maps``, and each value is a reduced (numerator,
+    denominator) pair, equal to ``evaluate``'s and handed to the batch
+    classifier as it is, with no Fraction built. Returns tallies plus any
+    verdicts that break the power-of-two dichotomy (a finite count that is
+    not a power of two, or a countable verdict).
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     levels = [[((), (1, 0, 1))]]  # the words of each length with their maps, from the identity
     for _ in range(max(max_preperiod, max_period)):
         levels.append([
@@ -120,16 +123,16 @@ def dichotomy_sweep(
     tails = [(per, b, c - a) for n in range(1, max_period + 1) for per, (a, b, c) in levels[n]]
     first: dict[tuple[int, int], tuple] = {}  # each distinct reduced value -> its first word
     for (pre, (a, b, c)), (per, n, d) in product(heads, tails):
+        if len(first) >= cap:
+            break
         num, den = a * n + b * d, c * d
         g = gcd(num, den)
         first.setdefault((num // g, den // g), (pre, per))
-        if len(first) >= cap:
-            break
 
     tally = {"finite": 0, "countable": 0, "continuum": 0, "unknown": 0}
     finite_counts: set[int] = set()
     violations: list[str] = []
-    verdicts = classify_many(ifs, [Fraction(*value) for value in first], max_nodes, max_depth)
+    verdicts = _classify(ifs, list(first), max_nodes, max_depth)
     for (pre, per), verdict in zip(first.values(), verdicts):
         tally[verdict.kind] += 1
         if verdict.kind == "finite":

@@ -201,17 +201,19 @@ def sweep_words(ifs: Ifs, max_preperiod: int = 4, max_period: int = 3, cap: int 
     """The points of ``dichotomy_sweep``, built one word at a time with ``evaluate``.
 
     Maps each distinct value to its first word (preperiod, period), in the
-    sweep's order and up to its cap: the slow reference for the sweep's
-    batch of values.
+    sweep's order and up to its cap (none at 0; a negative cap raises
+    ValueError): the slow reference for the sweep's batch of values.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     digits = range(1, ifs.m + 1)
     pres = [w for n in range(max_preperiod + 1) for w in product(digits, repeat=n)]
     pers = [w for n in range(1, max_period + 1) for w in product(digits, repeat=n)]
     words: dict = {}
     for pre, per in product(pres, pers):
-        words.setdefault(evaluate(ifs, pre, per), (pre, per))
         if len(words) >= cap:
             break
+        words.setdefault(evaluate(ifs, pre, per), (pre, per))
     return words
 
 

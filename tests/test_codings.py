@@ -82,8 +82,12 @@ class TestEvaluate:
 
 
 def digits(ifs, x):
-    """The walk's integer hull test on x."""
-    return overlapifs.codings._digits(ifs, x.numerator, x.denominator)
+    """The walk's integer hull test on x: the digits its expansion labels,
+    in a residual store built with no roots, so x skips the hull check."""
+    res = overlapifs.codings._Residuals(ifs, [], 1, 1)
+    i = res.intern((x.numerator, x.denominator))
+    res.successors(i)
+    return res.labels[i]
 
 
 class TestAdmissibleDigits:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -138,6 +139,38 @@ class TestSweep:
         sweep = dichotomy_sweep(noend, max_preperiod=3, max_period=2, cap=50)
         assert sweep["classified"] == 50
 
+    def test_cap_zero_classifies_nothing(self, noend, noend_report):
+        sweep = dichotomy_sweep(noend, cap=0)
+        assert sweep["classified"] == 0 and sweep_words(noend, cap=0) == {}
+        assert sweep["tally"] == {"finite": 0, "countable": 0, "continuum": 0, "unknown": 0}
+        result = run_theorem_harness(noend, noend_report, 2, power_upto=0, sweep_cap=0)
+        check = next(c for c in result.checks if c.name == "power-of-two dichotomy sweep")
+        assert check.detail.startswith("0 points")
+
+    @pytest.mark.parametrize("cap", [-1, -5])
+    def test_negative_cap_raises(self, noend, cap):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            dichotomy_sweep(noend, cap=cap)
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            sweep_words(noend, cap=cap)
+
+    def test_builds_no_fraction(self, noend, monkeypatch):
+        # the sweep hands its reduced integer pairs to the batch classifier as
+        # they are; the system's cached integer forms are built beforehand
+        assert noend.bounds and noend.integer_maps
+        made = []
+        new = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counted))
+        assert dichotomy_sweep(noend)["classified"] == 5000
+        assert made == []
+        F(1, 2)
+        assert made == [(1, 2)]  # the patch does count a Fraction built
+
 
 def _non_unit_member():
     """Ratio 2/7: f1 f3 = f2 f1 = 4x/49 + 10/49, so pair (1, 2) overlaps with u = v = 1."""
@@ -157,21 +190,27 @@ class TestSweepPoints:
 
     @staticmethod
     def handed_over(monkeypatch, ifs, **bounds):
-        """Each value the sweep hands ``classify_many``, in order, with its word as the
+        """Each pair the sweep hands ``_classify``, in order, with its word as the
         violation text prints it: every point is made to read countable."""
         seen = []
 
-        def countable(ifs, values, max_nodes, max_depth):
-            seen.extend(values)
+        def countable(ifs, pairs, max_nodes, max_depth):
+            seen.extend(pairs)
             return [Cardinality.countable()] * len(seen)
 
-        monkeypatch.setattr(overlapifs.verify, "classify_many", countable)
+        monkeypatch.setattr(overlapifs.verify, "_classify", countable)
         violations = dichotomy_sweep(ifs, **bounds)["violations"]
-        assert all(type(x) is F for x in seen)
+        for pair in seen:
+            assert type(pair) is tuple and len(pair) == 2
+            n, q = pair
+            assert type(n) is int and type(q) is int and q > 0 and gcd(n, q) == 1
         return list(zip(seen, (v.removesuffix(" -> countable") for v in violations), strict=True))
 
     def check(self, monkeypatch, ifs, **bounds):
-        expected = [(x, f"w={pre};p={per}") for x, (pre, per) in sweep_words(ifs, **bounds).items()]
+        words = sweep_words(ifs, **bounds)
+        expected = [
+            ((x.numerator, x.denominator), f"w={pre};p={per}") for x, (pre, per) in words.items()
+        ]
         assert self.handed_over(monkeypatch, ifs, **bounds) == expected
 
     @pytest.mark.parametrize(
