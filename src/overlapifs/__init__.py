@@ -13,7 +13,6 @@ from .codings import (
     ResidualGraph,
     SymbolicPoint,
     UnreachableTargetError,
-    WitnessRequest,
     WitnessVerificationError,
     build_residual_graph,
     classify_cardinality,

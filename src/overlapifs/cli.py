@@ -20,7 +20,6 @@ from .codings import (
     PointNotInAttractorError,
     SymbolicPoint,
     UnreachableTargetError,
-    WitnessRequest,
     build_residual_graph,
     classify_cardinality,
     enumerate_codings,
@@ -360,7 +359,7 @@ def _cmd_classify(args, out) -> int:
 def _cmd_witness(args, out) -> int:
     source, ifs, report = _load_member(args, out)
     try:
-        request = WitnessRequest.parse(args.target)
+        target = Cardinality.parse(args.target)
     except ValueError as exc:
         raise IfsFileError(None, f"bad --target: {exc}") from exc
     doc: dict = {
@@ -369,7 +368,7 @@ def _cmd_witness(args, out) -> int:
         "target": args.target,
     }
     try:
-        point = make_witness(ifs, report, request, args.max_nodes, args.max_depth)
+        point = make_witness(ifs, report, target, args.max_nodes, args.max_depth)
     except UnreachableTargetError as exc:
         doc["result"] = {"kind": "unreachable", "reason": str(exc)}
         _emit(doc, args, out)

@@ -28,7 +28,6 @@ __all__ = [
     "ResidualGraph",
     "SymbolicPoint",
     "UnreachableTargetError",
-    "WitnessRequest",
     "WitnessVerificationError",
     "build_residual_graph",
     "classify_cardinality",
@@ -247,14 +246,6 @@ class ResidualGraph(_Value):
     def unexpanded(self) -> frozenset[Fraction]:
         return frozenset(map(self.residuals.value, self.depth.keys() - self.expanded))
 
-    @property
-    def nodes(self) -> set[Fraction]:
-        return set(map(self.residuals.value, self.depth))
-
-    @property
-    def edges(self) -> set[tuple[Fraction, int, Fraction]]:
-        return {(y, d, z) for y, out in self.adjacency.items() for d, z in out.items()}
-
     @cached_property
     def facts(self) -> tuple[bytearray, list[int], list[int]]:
         return self.residuals.facts()
@@ -277,11 +268,12 @@ def build_residual_graph(
 
 
 class Cardinality(_Value):
-    """How many codings a point has.
+    """How many codings a point has: a classifier's verdict, or the target
+    ``make_witness`` builds a point for.
 
     ``kind`` is one of "finite", "countable", "continuum", "unknown";
     ``count`` is set for finite verdicts and ``limit`` names the resource
-    limit behind an unknown verdict.
+    limit behind an unknown verdict. A target is never unknown.
     """
 
     kind: str
@@ -310,6 +302,19 @@ class Cardinality(_Value):
     @classmethod
     def unknown(cls, limit: str | None) -> Cardinality:
         return cls("unknown", limit=limit)
+
+    @classmethod
+    def parse(cls, text: str) -> Cardinality:
+        """Read a target: ``finite:<k>`` with k >= 1, ``aleph0`` or ``continuum``."""
+        text = text.strip()
+        if text in ("aleph0", "continuum"):
+            return cls("countable" if text == "aleph0" else text)
+        if text.startswith("finite:"):
+            try:
+                return cls.finite(int(text[len("finite:"):]))
+            except ValueError as exc:
+                raise ValueError(f"bad finite count in target {text!r}: {exc}") from exc
+        raise ValueError(f"bad target {text!r} (want finite:<k>, aleph0 or continuum)")
 
     def __str__(self) -> str:
         if self.kind == "finite":
@@ -482,74 +487,34 @@ def enumerate_codings(
     return sorted(words)
 
 
-class WitnessRequest(_Value):
-    """Requested coding count: finite(k), countable, or continuum."""
-
-    kind: str
-    count: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("finite", "countable", "continuum"):
-            raise ValueError(f"bad witness target kind {self.kind!r}")
-        if self.kind == "finite" and (self.count is None or self.count < 1):
-            raise ValueError("finite witness target needs a count >= 1")
-
-    @classmethod
-    def finite(cls, k: int) -> WitnessRequest:
-        return cls("finite", count=k)
-
-    @classmethod
-    def countable(cls) -> WitnessRequest:
-        return cls("countable")
-
-    @classmethod
-    def continuum(cls) -> WitnessRequest:
-        return cls("continuum")
-
-    @classmethod
-    def parse(cls, text: str) -> WitnessRequest:
-        """Parse ``finite:<k>``, ``aleph0`` or ``continuum``."""
-        text = text.strip()
-        if text == "aleph0":
-            return cls("countable")
-        if text == "continuum":
-            return cls("continuum")
-        if text.startswith("finite:"):
-            try:
-                return cls("finite", count=int(text.split(":", 1)[1]))
-            except ValueError as exc:
-                raise ValueError(f"bad finite count in target {text!r}") from exc
-        raise ValueError(f"bad witness target {text!r} (want finite:<k>, aleph0 or continuum)")
-
-    def matches(self, verdict: Cardinality) -> bool:
-        if self.kind == "finite":
-            return verdict.kind == "finite" and verdict.count == self.count
-        return verdict.kind == self.kind
-
-
 def make_witness(
     ifs: Ifs,
     report: ValidationReport,
-    request: WitnessRequest,
+    target: Cardinality,
     max_nodes: int = DEFAULT_MAX_NODES,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> SymbolicPoint:
-    """Construct a point with the requested number of codings.
+    """Construct a point with the ``target`` number of codings.
 
     The recipes splice overlap blocks in front of a verified single-coding
     tail; which recipe applies depends on whether an extreme neighbour pair
-    overlaps. The result is classified before being returned and a mismatch
-    raises WitnessVerificationError, so a returned witness is always sound.
-    Impossible requests (countable, or a non power of two, when both extreme
-    pairs are disjoint) raise UnreachableTargetError.
+    overlaps. The result is classified before being returned, and a mismatch
+    or a check cut short by a limit raises WitnessVerificationError, so a
+    returned witness is always sound. Impossible targets (countable, or a
+    non power of two, when both extreme pairs are disjoint) raise
+    UnreachableTargetError, and a target that is unknown or finite below 1
+    raises ValueError.
     """
+    finite = target.kind == "finite" and (target.count or 0) >= 1 and target.limit is None
+    if not finite and target not in (Cardinality.countable(), Cardinality.continuum()):
+        raise ValueError(f"bad witness target {target}: want finite(k >= 1), countable or continuum")
     if not report.member:
         raise ValueError("witness construction needs a validated member system")
     case = end_case(ifs, report)
     m = ifs.m
     tail: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
-    if request.kind == "countable":
+    if target.kind == "countable":
         if case.tag == "no-end-overlap":
             raise UnreachableTargetError(
                 "no point has countably many codings when both extreme pairs are disjoint"
@@ -559,12 +524,11 @@ def make_witness(
             per: tuple[int, ...] = (m,)
         else:
             pre, per = (m,), (1,)
-    elif request.kind == "continuum":
+    elif target.kind == "continuum":
         spec = report.overlaps[0]
         pre, per = (), (spec.index,) + (m,) * spec.u
     else:
-        k = request.count
-        assert k is not None
+        k = target.count
         if case.tag == "end-overlap":
             s = k - 1
             if case.right_overlaps and not case.left_overlaps:
@@ -599,10 +563,12 @@ def make_witness(
         raise WitnessVerificationError(
             f"tail {points[0]} was expected to have a unique coding, classifier says {checked[0]}"
         )
-    if not request.matches(verdict):
+    if verdict.kind == "unknown":
+        value = max_depth if verdict.limit == "max_depth" else max_nodes
         raise WitnessVerificationError(
-            f"witness {point} requested as {request.kind}"
-            f"{'' if request.count is None else f'({request.count})'} "
-            f"but classifies as {verdict}"
+            f"witness {point} could not be verified within the limits: its classification "
+            f"hit {verdict.limit}={value}; raise it with --{verdict.limit.replace('_', '-')}"
         )
+    if verdict != target:
+        raise WitnessVerificationError(f"witness {point} is {verdict}, not the target {target}")
     return point

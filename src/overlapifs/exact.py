@@ -49,12 +49,12 @@ class _Value:
 
     A subclass names its fields as class annotations, in order, and may give
     a default as a class attribute (``detail: str = ""``). It gets
-    positional and keyword construction, a ``__post_init__`` hook, the
-    ``Name(field=value, ...)`` repr, value equality and hashing over the
-    fields, and frozen instances: assigning or deleting an attribute raises
-    AttributeError. Fields are plain instance attributes, so
-    ``functools.cached_property`` works. A class built on a hot path defines
-    its own ``__init__`` that sets each field with ``_setattr``.
+    positional and keyword construction, the ``Name(field=value, ...)``
+    repr, value equality and hashing over the fields, and frozen instances:
+    assigning or deleting an attribute raises AttributeError. Fields are
+    plain instance attributes, so ``functools.cached_property`` works. A
+    class that checks its fields, or is built on a hot path, defines its own
+    ``__init__`` that sets each field with ``_setattr``.
     """
 
     def __init_subclass__(cls) -> None:
@@ -67,7 +67,6 @@ class _Value:
             args = self._complete(args, kwargs)
         for field, value in zip(self._fields, args):
             _setattr(self, field, value)
-        self.__post_init__()
 
     def _complete(self, args: tuple, kwargs: dict) -> list:
         """Fill the fields that ``args`` leaves out from ``kwargs`` or the defaults."""
@@ -79,9 +78,6 @@ class _Value:
                 f"got {len(args)} positional and the keywords {sorted(kwargs)}"
             )
         return [*args, *(kwargs[f] if f in kwargs else defaults[f] for f in rest)]
-
-    def __post_init__(self) -> None:
-        pass
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

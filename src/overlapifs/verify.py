@@ -15,7 +15,6 @@ from .codings import (
     DEFAULT_MAX_NODES,
     Cardinality,
     UnreachableTargetError,
-    WitnessRequest,
     _classify,
     classify_many,
     evaluate,
@@ -61,27 +60,10 @@ class CheckResult(_Value):
 
 
 class HarnessResult(_Value):
-    """Mutable, unlike the other value classes: a harness appends as it runs."""
-
     theorem: int
     applicable: bool
     checks: list[CheckResult]
     notes: list[str]
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(
-        self,
-        theorem: int,
-        applicable: bool,
-        checks: list[CheckResult] | None = None,
-        notes: list[str] | None = None,
-    ) -> None:
-        self.theorem, self.applicable = theorem, applicable
-        self.checks = [] if checks is None else checks
-        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:
@@ -150,13 +132,13 @@ def dichotomy_sweep(
 
 
 def _witness_check(
-    ifs: Ifs, report: ValidationReport, request: WitnessRequest, unreachable: bool, limits: dict
+    ifs: Ifs, report: ValidationReport, target: Cardinality, unreachable: bool, limits: dict
 ) -> CheckResult:
-    """Construct the requested witness, or expect UnreachableTargetError when ``unreachable``."""
-    label = request.kind if request.count is None else f"{request.kind}({request.count})"
+    """Construct the target's witness, or expect UnreachableTargetError when ``unreachable``."""
+    label = target.kind if target.count is None else f"{target.kind}({target.count})"
     name = f"{'unreachable' if unreachable else 'witness'} {label}"
     try:
-        point = make_witness(ifs, report, request, **limits)
+        point = make_witness(ifs, report, target, **limits)
     except UnreachableTargetError as exc:
         return CheckResult(name, unreachable, str(exc))
     except Exception as exc:  # construction is self-verifying, so report why
@@ -190,23 +172,23 @@ def run_theorem_harness(
         raise ValueError("harness needs a validated member system")
     limits = {"max_nodes": max_nodes, "max_depth": max_depth}
     case = end_case(ifs, report)
-    result = HarnessResult(theorem=theorem, applicable=True)
+    checks: list[CheckResult] = []
+    notes: list[str] = []
     m = ifs.m
 
-    def check(request: WitnessRequest, unreachable: bool = False) -> None:
-        result.checks.append(_witness_check(ifs, report, request, unreachable, limits))
+    def check(target: Cardinality, unreachable: bool = False) -> None:
+        checks.append(_witness_check(ifs, report, target, unreachable, limits))
 
     needs = {1: "end-overlap", 2: "no-end-overlap"}
     if theorem in needs and case.tag != needs[theorem]:
-        result.applicable = False
         which = "no extreme neighbour pair" if theorem == 1 else "an extreme neighbour pair"
-        result.checks.append(CheckResult("applicability", False, f"{which} overlaps"))
-        return result
+        checks.append(CheckResult("applicability", False, f"{which} overlaps"))
+        return HarnessResult(theorem, False, checks, notes)
 
     if theorem == 1:
         for k in range(1, finite_upto + 1):
-            check(WitnessRequest.finite(k))
-        check(WitnessRequest.countable())
+            check(Cardinality.finite(k))
+        check(Cardinality.countable())
         # A whole family of countable points: push the overlapping end's
         # extreme digit in front of the opposite endpoint's unique word.
         pre, per = ((1,), (m,)) if case.left_overlaps else ((m,), (1,))
@@ -219,14 +201,14 @@ def run_theorem_harness(
             ok, detail = False, "family points collided"
         else:
             ok, detail = True, f"{len(family)} distinct countable family points"
-        result.checks.append(CheckResult("countable family", ok, detail))
+        checks.append(CheckResult("countable family", ok, detail))
 
     elif theorem == 2:
         for s in range(power_upto + 1):
-            check(WitnessRequest.finite(2**s))
+            check(Cardinality.finite(2**s))
         for k in (3, 5, 6):
-            check(WitnessRequest.finite(k), unreachable=True)
-        check(WitnessRequest.countable(), unreachable=True)
+            check(Cardinality.finite(k), unreachable=True)
+        check(Cardinality.countable(), unreachable=True)
         sweep = dichotomy_sweep(ifs, cap=sweep_cap, max_nodes=max_nodes, max_depth=max_depth)
         ok = not sweep["violations"]
         detail = (
@@ -235,10 +217,10 @@ def run_theorem_harness(
         )
         if not ok:
             detail += f"; violations: {sweep['violations'][:5]}"
-        result.checks.append(CheckResult("power-of-two dichotomy sweep", ok, detail))
+        checks.append(CheckResult("power-of-two dichotomy sweep", ok, detail))
 
     elif theorem == 3:
-        check(WitnessRequest.continuum())
+        check(Cardinality.continuum())
         part = build_partition(ifs, report)
         gds = build_graph(ifs, part)
         full = solve_dimension(gds, tol)
@@ -246,11 +228,10 @@ def run_theorem_harness(
         gap = reduced.bracket[1] < full.bracket[0]  # proved brackets, exact
         relation = "<" if gap else "not proved below"
         detail = f"single-coding bound {reduced.value:.9f} {relation} attractor {full.value:.9f}"
-        result.checks.append(CheckResult("strict dimension gap", gap, detail))
-        result.notes.append(MEASURE_NOTE)
-        result.notes.append(PER_K_NOTE)
+        checks.append(CheckResult("strict dimension gap", gap, detail))
+        notes += [MEASURE_NOTE, PER_K_NOTE]
 
     else:
         raise ValueError(f"theorem must be 1, 2 or 3, got {theorem}")
 
-    return result
+    return HarnessResult(theorem, True, checks, notes)

@@ -242,7 +242,7 @@ def reference_residual_graph(ifs: Ifs, x: F, max_nodes: int, max_depth: int) -> 
     images; a node whose next new successor would pass ``max_nodes`` is left
     unexpanded, as are the nodes at ``max_depth``. Returns ``root``,
     ``adjacency`` (in expansion order), ``unexpanded``, ``exhausted``,
-    ``limit_hit``, ``nodes``, ``edges`` and each node's ``depth``.
+    ``limit_hit`` and each node's ``depth``.
     """
     adjacency: dict = {}
     depth = {x: 0}
@@ -272,8 +272,6 @@ def reference_residual_graph(ifs: Ifs, x: F, max_nodes: int, max_depth: int) -> 
         unexpanded=unexpanded,
         exhausted=not unexpanded,
         limit_hit=limit_hit if unexpanded else None,
-        nodes=set(depth),
-        edges={(y, d, z) for y, out in adjacency.items() for d, z in out.items()},
         depth=depth,
     )
 

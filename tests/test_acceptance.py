@@ -14,7 +14,6 @@ from conftest import member_instances, oracle_classify, quad_maps, strongly_conn
 from overlapifs import (
     Cardinality,
     Ifs,
-    WitnessRequest,
     build_graph,
     build_partition,
     build_residual_graph,
@@ -265,7 +264,7 @@ def test_criterion_8_property_suites(quad, quad_report, noend, noend_report):
 def test_criterion_9_theorem_level_reporting(quad, quad_report):
     with Timer() as t:
         result = run_theorem_harness(quad, quad_report, 3)
-        witness = make_witness(quad, quad_report, WitnessRequest.continuum())
+        witness = make_witness(quad, quad_report, Cardinality.continuum())
     has_notes = any("not quantities measured" in note for note in result.notes)
     per_k_note = any("coding-count properties" in note for note in result.notes)
     ok = (

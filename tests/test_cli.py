@@ -310,6 +310,26 @@ class TestWitnessCommand:
         code, _ = run(["witness", quad_file, "--target", "finite:zero"])
         assert code == 3
 
+    # The finite(600) witness on quad has a head of about 600 digits: its check
+    # outruns the default max_depth of 512, which is a limit, not a wrong answer.
+    def test_check_past_a_limit_names_the_limit(self, quad_file):
+        code, text = run(["witness", quad_file, "--target", "finite:600"])
+        assert code == 2
+        assert text.startswith("error: witness w=1,4,4,")
+        assert text.rstrip().endswith(
+            "could not be verified within the limits: its classification "
+            "hit max_depth=512; raise it with --max-depth"
+        )
+        code, text = run(["witness", quad_file, "--target", "finite:600", "--max-depth", "2000",
+                          "--max-nodes", "300"])
+        assert code == 2
+        assert text.rstrip().endswith("hit max_nodes=300; raise it with --max-nodes")
+
+    def test_raised_limit_builds_the_witness(self, quad_file):
+        code, text = run(["witness", quad_file, "--target", "finite:600", "--max-depth", "2000"])
+        assert code == 0
+        assert "kind: constructed" in text
+
 
 class TestVerifyCommand:
     def test_theorem_one_passes_on_quad(self, quad_file):

@@ -28,7 +28,6 @@ from overlapifs import (
     PointNotInAttractorError,
     SymbolicPoint,
     UnreachableTargetError,
-    WitnessRequest,
     WitnessVerificationError,
     build_residual_graph,
     classify_cardinality,
@@ -176,27 +175,23 @@ class TestAdmissibleDigitsDifferential:
 class TestResidualGraph:
     def test_countable_point(self, quad):
         g = build_residual_graph(quad, F(1, 5))
-        assert g.exhausted
-        assert g.nodes == {F(1, 5), F(1)}
-        assert g.edges == {(F(1, 5), 1, F(1)), (F(1, 5), 2, F(1, 5)), (F(1), 4, F(1))}
+        assert g.exhausted and g.unexpanded == set()
+        assert g.adjacency == {F(1, 5): {1: F(1), 2: F(1, 5)}, F(1): {4: F(1)}}
 
     def test_right_endpoint_self_loop(self, quad):
         g = build_residual_graph(quad, F(1))
-        assert g.nodes == {F(1)}
-        assert g.edges == {(F(1), 4, F(1))}
+        assert g.unexpanded == set()
+        assert g.adjacency == {F(1): {4: F(1)}}
 
     def test_continuum_point_closure(self, quad):
         # 5/6 sits in both right-hand pieces, so the closure has four nodes
         g = build_residual_graph(quad, F(1, 6))
-        assert g.exhausted
-        assert g.nodes == {F(1, 6), F(5, 6), F(1, 30), F(29, 30)}
-        assert g.edges == {
-            (F(1, 6), 1, F(5, 6)),
-            (F(1, 6), 2, F(1, 30)),
-            (F(5, 6), 3, F(29, 30)),
-            (F(5, 6), 4, F(1, 6)),
-            (F(1, 30), 1, F(1, 6)),
-            (F(29, 30), 4, F(5, 6)),
+        assert g.exhausted and g.unexpanded == set()
+        assert g.adjacency == {
+            F(1, 6): {1: F(5, 6), 2: F(1, 30)},
+            F(5, 6): {3: F(29, 30), 4: F(1, 6)},
+            F(1, 30): {1: F(1, 6)},
+            F(29, 30): {4: F(5, 6)},
         }
 
     def test_node_limit_marks_not_exhausted(self, quad):
@@ -215,9 +210,10 @@ class TestResidualGraph:
 
     def test_edges_are_inverse_images(self, quad):
         g = build_residual_graph(quad, F(109, 625))
-        for src, digit, dst in g.edges:
-            assert quad.piece(digit).contains(src)
-            assert quad.map(digit).invert(src) == dst
+        for src, out in g.adjacency.items():
+            for digit, dst in out.items():
+                assert quad.piece(digit).contains(src)
+                assert quad.map(digit).invert(src) == dst
 
 
 class TestClassify:
@@ -245,7 +241,7 @@ class TestClassify:
 
     def test_noend_powers_of_two(self, noend, noend_report):
         for s in range(4):
-            w = make_witness(noend, noend_report, WitnessRequest.finite(2**s))
+            w = make_witness(noend, noend_report, Cardinality.finite(2**s))
             assert classify_point(noend, w.value) == Cardinality.finite(2**s)
 
 
@@ -433,13 +429,12 @@ class TestGraphView:
             points |= {F(1, 2), F(9, 25)}  # a dead root, a dead branch
         for x in sorted(points):
             full = reference_residual_graph(ifs, x, DEFAULT_MAX_NODES, DEFAULT_MAX_DEPTH)
-            for max_nodes in range(1, len(full.nodes) + 2):
+            for max_nodes in range(1, len(full.depth) + 2):
                 for max_depth in range(1, max(full.depth.values()) + 2):
                     g = build_residual_graph(ifs, x, max_nodes, max_depth)
                     ref = reference_residual_graph(ifs, x, max_nodes, max_depth)
                     assert g.root == ref.root
-                    assert g.nodes == ref.nodes
-                    assert g.edges == ref.edges
+                    assert g.adjacency.keys() | g.unexpanded == ref.depth.keys()
                     assert g.unexpanded == ref.unexpanded
                     assert (g.exhausted, g.limit_hit) == (ref.exhausted, ref.limit_hit)
                     assert list(g.adjacency.items()) == list(ref.adjacency.items())
@@ -472,7 +467,7 @@ class TestGraphView:
             "finite(1)": 2664, "finite(2)": 964, "finite(4)": 27, "continuum": 1345
         }
         g = build_residual_graph(quad, F(109, 625))
-        assert g.nodes == ref.nodes and g.edges == ref.edges
+        assert g.adjacency == ref.adjacency and g.unexpanded == ref.unexpanded
         assert classify_cardinality(g) == Cardinality.finite(2)
 
     def test_one_tarjan_pass_per_graph(self, quad, monkeypatch):
@@ -515,7 +510,7 @@ class TestBigDenominators:
             g = build_residual_graph(ifs, x)
             ref = reference_residual_graph(ifs, x, DEFAULT_MAX_NODES, DEFAULT_MAX_DEPTH)
             assert g.exhausted and ref.exhausted
-            assert g.root == ref.root and g.nodes == ref.nodes and g.edges == ref.edges
+            assert g.root == ref.root and g.unexpanded == ref.unexpanded == set()
             assert list(g.adjacency.items()) == list(ref.adjacency.items())
             assert classify_cardinality(g) == verdict
             assert (verdict.kind, verdict.count) == oracle_classify(ref), x
@@ -585,9 +580,9 @@ class TestOracleAgreement:
 
     def test_finite_counts_match_path_counting(self, quad, quad_report):
         for k in range(1, 6):
-            w = make_witness(quad, quad_report, WitnessRequest.finite(k))
+            w = make_witness(quad, quad_report, Cardinality.finite(k))
             g = build_residual_graph(quad, w.value)
-            series = prefix_count_series(g, 3 * len(g.nodes))
+            series = prefix_count_series(g, 3 * len(g.adjacency.keys() | g.unexpanded))
             assert series[-1] == k
 
     def test_sampled_small_graphs(self, quad, noend):
@@ -615,42 +610,42 @@ class TestCountableTailStructure:
             x = evaluate(quad, (1,) * n, (4,))
             g = build_residual_graph(quad, x)
             assert classify_cardinality(g) == Cardinality.countable()
-            assert (b, 4, b) in g.edges or (a, 1, a) in g.edges
+            assert g.adjacency.get(b, {}).get(4) == b or g.adjacency.get(a, {}).get(1) == a
 
 
 class TestWitnesses:
     def test_quad_finite_two_matches_known_value(self, quad, quad_report):
-        w = make_witness(quad, quad_report, WitnessRequest.finite(2))
+        w = make_witness(quad, quad_report, Cardinality.finite(2))
         assert w.value == F(109, 625)
         assert (w.preperiod, w.period) == ((1, 4, 2), (4,))
 
     def test_quad_countable_is_left_end_image(self, quad, quad_report):
-        w = make_witness(quad, quad_report, WitnessRequest.countable())
+        w = make_witness(quad, quad_report, Cardinality.countable())
         assert w.value == F(1, 5)
 
     def test_quad_continuum_is_overlap_cycle_fixed_point(self, quad, quad_report):
-        w = make_witness(quad, quad_report, WitnessRequest.continuum())
+        w = make_witness(quad, quad_report, Cardinality.continuum())
         assert w.value == F(1, 6)
         assert (w.preperiod, w.period) == ((), (1, 4))
 
     def test_noend_power_structure(self, noend, noend_report):
-        w = make_witness(noend, noend_report, WitnessRequest.finite(4))
+        w = make_witness(noend, noend_report, Cardinality.finite(4))
         assert (w.preperiod, w.period) == ((2, 4, 2, 4, 1), (4,))
 
     def test_noend_rejects_non_powers(self, noend, noend_report):
         for k in (3, 5, 6, 12):
             with pytest.raises(UnreachableTargetError):
-                make_witness(noend, noend_report, WitnessRequest.finite(k))
+                make_witness(noend, noend_report, Cardinality.finite(k))
 
     def test_noend_rejects_countable(self, noend, noend_report):
         with pytest.raises(UnreachableTargetError):
-            make_witness(noend, noend_report, WitnessRequest.countable())
+            make_witness(noend, noend_report, Cardinality.countable())
 
     def test_uneven_left_overlap_recipe(self, uneven, uneven_report):
         for k in (1, 2, 3):
-            w = make_witness(uneven, uneven_report, WitnessRequest.finite(k))
+            w = make_witness(uneven, uneven_report, Cardinality.finite(k))
             assert classify_point(uneven, w.value) == Cardinality.finite(k)
-        w = make_witness(uneven, uneven_report, WitnessRequest.countable())
+        w = make_witness(uneven, uneven_report, Cardinality.countable())
         assert w.value == F(1, 9)
 
     @pytest.mark.parametrize(
@@ -662,24 +657,55 @@ class TestWitnesses:
         ifs, report = request.getfixturevalue(system), request.getfixturevalue(f"{system}_report")
         expected = f"tail {tail} was expected to have a unique coding, classifier says unknown"
         with pytest.raises(WitnessVerificationError, match=re.escape(expected)):
-            make_witness(ifs, report, WitnessRequest.finite(target), max_nodes=1)
+            make_witness(ifs, report, Cardinality.finite(target), max_nodes=1)
 
     def test_witnesses_are_deterministic(self, quad, quad_report):
-        a = make_witness(quad, quad_report, WitnessRequest.finite(3))
-        b = make_witness(quad, quad_report, WitnessRequest.finite(3))
+        a = make_witness(quad, quad_report, Cardinality.finite(3))
+        b = make_witness(quad, quad_report, Cardinality.finite(3))
         assert a == b
 
     def test_request_parsing(self):
-        assert WitnessRequest.parse("finite:4") == WitnessRequest.finite(4)
-        assert WitnessRequest.parse("aleph0") == WitnessRequest.countable()
-        assert WitnessRequest.parse("continuum") == WitnessRequest.continuum()
-        for bad in ("finite", "finite:x", "finite:0", "aleph", ""):
+        valid = {
+            "finite:4": Cardinality.finite(4),
+            "aleph0": Cardinality.countable(),
+            "continuum": Cardinality.continuum(),
+            "  finite:12\t": Cardinality.finite(12),
+            " aleph0 ": Cardinality.countable(),
+            "\ncontinuum ": Cardinality.continuum(),
+        }
+        for text, target in valid.items():
+            assert Cardinality.parse(text) == target, text
+        invalid = [
+            "finite:zero", "finite:0", "finite:-2", "finite:", "finite", "unknown",
+            "countable", "aleph", "", "  ",
+        ]
+        for text in invalid:
             with pytest.raises(ValueError):
-                WitnessRequest.parse(bad)
+                Cardinality.parse(text)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            Cardinality.unknown("max_depth"),
+            Cardinality.unknown(None),
+            Cardinality("finite", 0),
+            Cardinality("finite"),
+            Cardinality("finite", 2, limit="max_nodes"),
+            Cardinality("countable", 3),
+        ],
+        ids=str,
+    )
+    def test_bad_target_raises_before_classifying(self, quad, quad_report, monkeypatch, target):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad target reached the classifier")
+
+        monkeypatch.setattr(overlapifs.codings, "classify_many", refuse)
+        with pytest.raises(ValueError, match="bad witness target"):
+            make_witness(quad, quad_report, target)
 
     def test_requires_member(self, quad):
         from overlapifs import Ifs, AffineMap, validate
 
         bad = validate(Ifs.from_maps([AffineMap(F(1, 5), F(0)), AffineMap(F(1, 5), F(4, 5))]))
         with pytest.raises(ValueError):
-            make_witness(quad, bad, WitnessRequest.finite(1))
+            make_witness(quad, bad, Cardinality.finite(1))

@@ -10,12 +10,11 @@ from overlapifs import (
     AffineMap,
     Cardinality,
     CheckResult,
-    HarnessResult,
     Ifs,
     Interval,
-    WitnessRequest,
     format_rational,
     parse_rational,
+    run_theorem_harness,
 )
 
 
@@ -155,7 +154,7 @@ class TestValueClasses:
         assert AffineMap(F(1, 2), F(0)) == AffineMap(offset=F(0), ratio=F(1, 2))
         assert Cardinality("finite", 2) == Cardinality.finite(2)
         assert Cardinality("countable") == Cardinality(kind="countable", count=None, limit=None)
-        assert WitnessRequest("finite", count=3) == WitnessRequest.finite(3)
+        assert Cardinality("finite", count=3) == Cardinality.finite(3)
 
     @pytest.mark.parametrize(
         "build",
@@ -179,8 +178,6 @@ class TestValueClasses:
             Interval(F(1), F(0))
         with pytest.raises(ValueError):
             Interval(lo=F(1), hi=F(0))
-        with pytest.raises(ValueError):
-            WitnessRequest("finite")
 
     def test_equal_values_hash_equal(self):
         assert hash(Interval(F(1, 3), F(1, 2))) == hash(Interval(F(2, 6), F(3, 6)))
@@ -206,14 +203,18 @@ class TestValueClasses:
             Cardinality.finite(2).count = 3
         assert iv == Interval(F(0), F(1))
 
-    def test_harness_results_are_mutable_and_separate(self):
-        first, second = HarnessResult(1, True), HarnessResult(theorem=1, applicable=True)
-        first.checks.append(CheckResult("gap", True))
-        first.notes.append("note")
-        first.applicable = False
-        assert second.checks == [] and second.notes == [] and second.applicable
+    def test_harness_results_are_frozen_and_separate(self, quad, quad_report):
+        first, second = (run_theorem_harness(quad, quad_report, 3) for _ in range(2))
+        assert first == second
+        for field in ("theorem", "applicable", "checks", "notes"):
+            with pytest.raises(AttributeError):
+                setattr(first, field, getattr(second, field))
+        assert first.checks is not second.checks and first.notes is not second.notes
+        first.checks.clear()
+        first.notes.clear()
+        assert len(second.checks) == 2 and len(second.notes) == 2
         with pytest.raises(TypeError):
-            hash(second)
+            hash(second)  # its fields are lists
 
     def test_ifs_pieces_is_cached(self):
         ifs = Ifs.from_maps([AffineMap(F(1, 2), F(0)), AffineMap(F(1, 2), F(1, 2))])
