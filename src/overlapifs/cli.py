@@ -7,29 +7,17 @@ verdict, a failed harness or internal check, and 3 for parse or usage errors.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
-from .codings import (
-    DEFAULT_MAX_DEPTH,
-    DEFAULT_MAX_NODES,
-    Cardinality,
-    PointNotInAttractorError,
-    SymbolicPoint,
-    UnreachableTargetError,
-    build_residual_graph,
-    classify_cardinality,
-    enumerate_codings,
-    make_witness,
-)
-from .dimension import DEFAULT_TOL, build_graph, build_partition, reduced_system
-from .dimension import solve_dimension, to_dot
 from .exact import AffineMap, _Value, format_rational, parse_rational
-from .system import Ifs, InternalError, ValidationReport, end_case, validate
-from .verify import run_theorem_harness
+from .system import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, DEFAULT_TOL, Ifs, InternalError
+from .system import ValidationReport, end_case, validate
+
+# Each command imports the modules it runs (codings, dimension, verify, json)
+# when it runs, so that start-up compiles and executes only those.
 
 __all__ = ["IfsFile", "IfsFileError", "main", "parse_ifs_file"]
 
@@ -172,6 +160,7 @@ def _dimension_section(result) -> dict:
 
 def _emit(report: dict, args, out) -> None:
     if getattr(args, "json", None):
+        import json
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
@@ -259,6 +248,8 @@ def _load_member(args, out) -> tuple[IfsFile, Ifs, ValidationReport]:
 
 
 def _cmd_partition(args, out) -> int:
+    from .dimension import build_graph, build_partition, to_dot
+
     source, ifs, report = _load_member(args, out)
     part = build_partition(ifs, report)
     gds = build_graph(ifs, part)
@@ -287,6 +278,8 @@ def _cmd_partition(args, out) -> int:
 
 
 def _cmd_dim(args, out) -> int:
+    from .dimension import build_graph, build_partition, reduced_system, solve_dimension, to_dot
+
     source, ifs, report = _load_member(args, out)
     part = build_partition(ifs, report)
     gds = build_graph(ifs, part)
@@ -316,6 +309,9 @@ def _cmd_dim(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
+    from .codings import PointNotInAttractorError, SymbolicPoint, build_residual_graph
+    from .codings import classify_cardinality, enumerate_codings
+
     source, ifs, report = _load_member(args, out)
     try:
         point = SymbolicPoint.parse(args.point, ifs)
@@ -357,6 +353,8 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_witness(args, out) -> int:
+    from .codings import Cardinality, UnreachableTargetError, make_witness
+
     source, ifs, report = _load_member(args, out)
     try:
         target = Cardinality.parse(args.target)
@@ -383,6 +381,8 @@ def _cmd_witness(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from .verify import run_theorem_harness
+
     source, ifs, report = _load_member(args, out)
     result = run_theorem_harness(
         ifs,

@@ -18,12 +18,10 @@ from typing import Iterable, Sequence
 
 from .exact import _Value, _setattr
 from .scc import strongly_connected_components
-from .system import Ifs, InternalError, ValidationReport, end_case
+from .system import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, Ifs, InternalError, ValidationReport, end_case
 
 __all__ = [
     "Cardinality",
-    "DEFAULT_MAX_DEPTH",
-    "DEFAULT_MAX_NODES",
     "PointNotInAttractorError",
     "ResidualGraph",
     "SymbolicPoint",
@@ -38,11 +36,6 @@ __all__ = [
     "make_witness",
     "symbolic_point",
 ]
-
-# All constructions used in practice close within tens of nodes; the limits
-# only guard adversarial inputs, and hitting one yields an honest "unknown".
-DEFAULT_MAX_NODES = 4096
-DEFAULT_MAX_DEPTH = 512
 
 
 class PointNotInAttractorError(ValueError):
@@ -559,15 +552,20 @@ def make_witness(
     # The witness word ends in the tail, so one batch classifies both over shared residuals.
     points = [point] if tail is None else [symbolic_point(ifs, *tail), point]
     *checked, verdict = classify_many(ifs, [p.value for p in points], max_nodes, max_depth)
+
+    def limit_hit(unknown: Cardinality) -> str:
+        value = max_depth if unknown.limit == "max_depth" else max_nodes
+        return f"hit {unknown.limit}={value}; raise it with --{unknown.limit.replace('_', '-')}"
+
     if checked and checked[0] != Cardinality.finite(1):
+        cut = f": it {limit_hit(checked[0])}" if checked[0].kind == "unknown" else ""
         raise WitnessVerificationError(
-            f"tail {points[0]} was expected to have a unique coding, classifier says {checked[0]}"
+            f"tail {points[0]} was expected to have a unique coding, classifier says {checked[0]}{cut}"
         )
     if verdict.kind == "unknown":
-        value = max_depth if verdict.limit == "max_depth" else max_nodes
         raise WitnessVerificationError(
             f"witness {point} could not be verified within the limits: its classification "
-            f"hit {verdict.limit}={value}; raise it with --{verdict.limit.replace('_', '-')}"
+            f"{limit_hit(verdict)}"
         )
     if verdict != target:
         raise WitnessVerificationError(f"witness {point} is {verdict}, not the target {target}")

@@ -17,11 +17,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import Interval, _Value, format_rational
-from .system import Ifs, InternalError, ValidationReport
+from .system import DEFAULT_TOL, Ifs, InternalError, ValidationReport
 
 __all__ = [
     "CoverViolationError",
-    "DEFAULT_TOL",
     "DimensionResult",
     "EmptyGraphError",
     "EmptyReducedSystemError",
@@ -37,7 +36,6 @@ __all__ = [
     "to_dot",
 ]
 
-DEFAULT_TOL = 1e-12
 # Digits of r**s kept beyond the tolerance, and added when a test is undecided.
 GUARD_DIGITS = 15
 

@@ -20,6 +20,9 @@ from .exact import AffineMap, Interval, _Value, format_rational
 
 __all__ = [
     "Condition",
+    "DEFAULT_MAX_DEPTH",
+    "DEFAULT_MAX_NODES",
+    "DEFAULT_TOL",
     "EndCase",
     "Ifs",
     "InternalError",
@@ -35,6 +38,14 @@ __all__ = [
 # Safety net for the overlap searches; they terminate mathematically, but a
 # near-1 ratio on malformed input could make "finitely many" impractically big.
 SEARCH_CAP = 4096
+# Defaults of the residual walk's limits (codings) and of the dimension
+# bracket's width (dimension), kept here so that the command line can offer
+# them without loading either module. All constructions used in practice close
+# within tens of nodes; the limits only guard adversarial inputs, and hitting
+# one yields an honest "unknown".
+DEFAULT_MAX_NODES = 4096
+DEFAULT_MAX_DEPTH = 512
+DEFAULT_TOL = 1e-12
 
 
 class Condition(Enum):

@@ -11,8 +11,6 @@ from itertools import product
 from math import gcd
 
 from .codings import (
-    DEFAULT_MAX_DEPTH,
-    DEFAULT_MAX_NODES,
     Cardinality,
     UnreachableTargetError,
     _classify,
@@ -21,7 +19,6 @@ from .codings import (
     make_witness,
 )
 from .dimension import (
-    DEFAULT_TOL,
     check_tol,
     build_graph,
     build_partition,
@@ -29,7 +26,7 @@ from .dimension import (
     solve_dimension,
 )
 from .exact import _Value
-from .system import Ifs, ValidationReport, end_case
+from .system import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, DEFAULT_TOL, Ifs, ValidationReport, end_case
 
 __all__ = [
     "CheckResult",

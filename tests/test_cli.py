@@ -381,6 +381,11 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
+# A module defines its subclasses only once it runs; reading every public name runs them all.
+for _name in overlapifs.__all__:
+    getattr(overlapifs, _name)
+
+
 # Where each internal error is raised from; one missing here is raised from validate.
 # The walk is sorted in this order so that the test ids do not follow import order.
 RAISED_IN = {
@@ -409,7 +414,10 @@ class TestInternalErrors:
         def fail(*args, **kwargs):
             raise error("self-check failed")
 
-        monkeypatch.setattr(overlapifs.cli, callee, fail)
+        # cli binds validate, which every command runs; a command imports the rest
+        # from their home modules when it runs, so they are patched there
+        home = sys.modules[getattr(overlapifs, callee).__module__]
+        monkeypatch.setattr(overlapifs.cli if hasattr(overlapifs.cli, callee) else home, callee, fail)
         code, text = run([command[0], quad_file, *command[1:]])
         assert code == 2
         assert "error: self-check failed" in text.splitlines()

@@ -38,7 +38,7 @@ from overlapifs import (
     make_witness,
     symbolic_point,
 )
-from overlapifs.codings import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES
+from overlapifs.system import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES
 
 
 class TestEvaluate:
@@ -653,11 +653,13 @@ class TestWitnesses:
         [("quad", 3, "w=2;p=4"), ("noend", 2, "w=1;p=4"), ("uneven", 3, "w=2;p=3")],
     )
     def test_unverified_tail_raises(self, request, system, target, tail):
-        # max_nodes=1 leaves the tail's verdict unknown, so its self-check fails first
+        # max_nodes=1 leaves the tail's verdict unknown, so its self-check fails first,
+        # naming the limit and the flag that raises it
         ifs, report = request.getfixturevalue(system), request.getfixturevalue(f"{system}_report")
         expected = f"tail {tail} was expected to have a unique coding, classifier says unknown"
-        with pytest.raises(WitnessVerificationError, match=re.escape(expected)):
+        with pytest.raises(WitnessVerificationError, match=re.escape(expected)) as caught:
             make_witness(ifs, report, Cardinality.finite(target), max_nodes=1)
+        assert str(caught.value).endswith("(max_nodes): it hit max_nodes=1; raise it with --max-nodes")
 
     def test_witnesses_are_deterministic(self, quad, quad_report):
         a = make_witness(quad, quad_report, Cardinality.finite(3))

@@ -1,5 +1,6 @@
 """Partition, cell digraph, spectral radius and the dimension solver."""
 
+import ast
 import math
 import operator
 import os
@@ -611,14 +612,47 @@ class TestRandomMembers:
                     assert_holds(solve_dimension(gds, tol).bracket, root, tol)
 
 
-@pytest.mark.parametrize("module", ["overlapifs", "overlapifs.cli"])
-def test_import_leaves_heavy_modules_out(module):
-    # numpy is a test reference only; dataclasses would pull in inspect, ast and dis;
-    # argparse (and gettext with it) is for main alone, not for parse_ifs_file
+# numpy is a test reference only; dataclasses would pull in inspect, ast and dis;
+# argparse (and gettext with it) is for main alone, not for parse_ifs_file
+HEAVY = {"numpy", "dataclasses", "inspect", "argparse", "gettext"}
+PARSING = {"cli", "exact", "system"}
+# What each start-up may run: a statement, or a command line given to main, and
+# the program modules it executes. json is for --json alone.
+STARTS = {
+    "overlapifs": ("import overlapifs", set()),
+    "overlapifs.cli": ("import overlapifs.cli", PARSING),
+    "validate": (["validate", "quad.ifs"], PARSING),
+    "validate-json": (["validate", "quad.ifs", "--json", "out.json"], PARSING),
+    "partition": (["partition", "quad.ifs"], PARSING | {"dimension"}),
+    "dim": (["dim", "uneven.ifs", "--set", "U1"], PARSING | {"dimension"}),
+    "classify": (["classify", "quad.ifs", "--point", "w=2;p=4"], PARSING | {"codings", "scc"}),
+    "witness": (["witness", "noend.ifs", "--target", "finite:2"], PARSING | {"codings", "scc"}),
+    "verify": (
+        ["verify", "quad.ifs", "--theorem", "1"],
+        PARSING | {"codings", "scc", "dimension", "verify"},
+    ),
+}
+
+
+@pytest.mark.parametrize("start", list(STARTS))
+def test_import_leaves_heavy_modules_out(start, data_dir, tmp_path):
+    # Run in a fresh interpreter. A module still waiting in sys.modules for its
+    # first use is not a plain module, so the plain ones are those that ran.
+    run, executed = STARTS[start]
+    heavy = HEAVY
+    if isinstance(run, list):
+        argv = [str(data_dir / a) if a.endswith(".ifs") else a for a in run]
+        run = f"import io; from overlapifs.cli import main; assert main({argv!r}, io.StringIO()) == 0"
+        heavy = HEAVY - {"argparse", "gettext"}
+    ran = "[k for k, m in sys.modules.items() if type(m) is types.ModuleType]"
+    code = f"import sys, types; {run}; print({ran})"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    heavy = "{'numpy', 'dataclasses', 'inspect', 'argparse', 'gettext'}"
-    code = f"import sys, {module}; print(*sorted({heavy} & set(sys.modules)))"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == []
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(ast.literal_eval(result.stdout))
+    assert {name[len("overlapifs."):] for name in loaded if name.startswith("overlapifs.")} == executed
+    assert not heavy & loaded
+    assert ("json" in loaded) == (start == "validate-json")

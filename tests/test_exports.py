@@ -1,10 +1,10 @@
 """Every exported name resolves, and the package exports only listed names.
 
 A deleted class can otherwise leave a stale name in a module's ``__all__``
-(``from module import *`` then fails) or in ``overlapifs/__init__.py``.
+(``from module import *`` then fails) or in the package's name table, which
+``overlapifs/__init__.py`` resolves on first access.
 """
 
-import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -26,24 +26,22 @@ def test_every_listed_name_resolves(name):
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
 
 
-def package_imports():
-    """(module, name) for each name ``__init__.py`` imports from a package module."""
-    tree = ast.parse(INIT.read_text(encoding="utf-8"))
-    return [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-
-
 def test_package_imports_only_listed_names():
-    imports = package_imports()
-    assert imports, "overlapifs/__init__.py imports nothing from its modules"
+    homes = overlapifs._HOME
+    assert homes, "overlapifs/__init__.py lists no names from its modules"
+    assert overlapifs.__all__ == list(homes)
     unlisted = [
         f"{module}.{name}"
-        for module, name in imports
-        if not name.startswith("_")
-        and name not in getattr(importlib.import_module(f"overlapifs.{module}"), "__all__", ())
+        for name, module in homes.items()
+        if name not in getattr(importlib.import_module(f"overlapifs.{module}"), "__all__", ())
     ]
-    assert not unlisted, f"imported by the package but missing from __all__: {unlisted}"
+    assert not unlisted, f"listed by the package but missing from __all__: {unlisted}"
+
+
+def test_package_lists_and_binds_every_name():
+    assert set(overlapifs.__all__) <= set(dir(overlapifs))
+    namespace: dict = {}
+    exec("from overlapifs import *", namespace)
+    for name in overlapifs.__all__:
+        home = importlib.import_module(f"overlapifs.{overlapifs._HOME[name]}")
+        assert namespace[name] is getattr(home, name), name
