@@ -5,7 +5,8 @@ For an exact rational x the possible first digits are the maps whose hull
 image contains x, and stripping a digit replaces x by the exact inverse
 image. Closing that step over all admissible digits yields a finite directed
 graph whose infinite paths are exactly the codings of x, which reduces the
-counting questions to graph structure.
+counting questions to graph structure. One Tarjan pass decides a point or a
+batch, and a point walks within the limits only when it might hit one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .exact import _Value, _setattr
-from .scc import strongly_connected_components
 from .system import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, Ifs, InternalError, ValidationReport, end_case
 
 __all__ = [
@@ -107,9 +107,9 @@ class _Residuals:
     its admissible digits ``labels[i]``, set by ``successors`` in one loop
     over rows ``(d, lo, hi, a, b, c)``: if hull image [lo, hi] / den contains
     n/q, the map x -> (a*x + b) / c takes it back to (c*n - b*q) / (a*q),
-    interned reduced. No residual is expanded twice, so all roots over one
-    instance share one graph, whether ``expand`` reaches it from every root
-    in one pass or ``walk`` from one root.
+    interned reduced. No residual is expanded twice, so all roots share one
+    graph: ``expand`` reaches it from every root in one pass, and ``walk``
+    follows one root within the limits only when it might hit one.
     """
 
     def __init__(self, ifs: Ifs, roots: Sequence[tuple[int, int]], max_nodes: int, max_depth: int):
@@ -198,25 +198,20 @@ class _Residuals:
                 expanded.append(y)
         return depth, expanded, limit_hit
 
-    def facts(self) -> tuple[bytearray, list[int], list[int]]:
-        """``_facts`` of every id interned so far, sizes capped past min(max_nodes, max_depth)."""
-        return _facts(self.succ, min(self.max_nodes, self.max_depth))
-
 
 class ResidualGraph(_Value):
-    """Closure of a point under digit-stripping: a view of one residual walk.
+    """Closure of a point under digit-stripping: a view of its residuals.
 
-    From ``root_id`` the walk over ``residuals`` reached the ids in ``depth``
-    and expanded ``expanded``, in order; ``limit_hit`` names the limit that
-    left an id unexpanded, None exactly when ``exhausted``. ``adjacency`` (each
-    expanded node's digit-labelled inverse images) and ``unexpanded`` are built
-    on first use, the verdict ``facts`` once per graph. Out-degree is <= 2.
+    ``limit_hit`` names the limit that left an id reachable from ``root_id``
+    unexpanded, None exactly when ``exhausted``. On first read the root walks
+    within the limits for ``depth`` (each id reached, with its depth) and
+    ``expanded`` (the ids it expanded, in order), and ``adjacency`` (each
+    expanded node's digit-labelled inverse images) and ``unexpanded`` are
+    built; the verdict ``facts`` are taken once per graph. Out-degree <= 2.
     """
 
     residuals: _Residuals
     root_id: int
-    depth: dict[int, int]
-    expanded: list[int]
     limit_hit: str | None
 
     __eq__ = object.__eq__  # identity: each graph is its own walk
@@ -231,6 +226,13 @@ class ResidualGraph(_Value):
         return self.limit_hit is None
 
     @cached_property
+    def _walk(self) -> tuple[dict[int, int], list[int], str | None]:
+        return self.residuals.walk(self.root_id)
+
+    depth = property(lambda self: self._walk[0])
+    expanded = property(lambda self: self._walk[1])
+
+    @cached_property
     def adjacency(self) -> dict[Fraction, dict[int, Fraction]]:
         res, value = self.residuals, self.residuals.value
         return {value(y): dict(zip(res.labels[y], map(value, res.succ[y]))) for y in self.expanded}
@@ -241,7 +243,8 @@ class ResidualGraph(_Value):
 
     @cached_property
     def facts(self) -> tuple[bytearray, list[int], list[int]]:
-        return self.residuals.facts()
+        res = self.residuals
+        return _facts(res.succ, min(res.max_nodes, res.max_depth))
 
 
 def build_residual_graph(
@@ -254,10 +257,13 @@ def build_residual_graph(
 
     Dead ends (no admissible digit) stay in the graph; pruning them is the
     classifier's job. Limits never raise, they only mark the graph as not
-    exhausted.
+    exhausted. Expanding while at most min(max_nodes, max_depth) ids are
+    interned either closes the graph, and then no limit can be hit (see
+    ``_Residuals.walk``), or the root walks within the limits.
     """
     res = _Residuals(ifs, [(x.numerator, x.denominator)], max_nodes, max_depth)
-    return ResidualGraph(res, res.roots[0], *res.walk(res.roots[0]))
+    closed = res.expand(min(max_nodes, max_depth))
+    return ResidualGraph(res, res.roots[0], None if closed else res.walk(res.roots[0])[2])
 
 
 class Cardinality(_Value):
@@ -333,37 +339,70 @@ def _facts(
     from y into terminal cycles. ``size[y]`` bounds the number of nodes y
     reaches, y included: its component's size plus its exits' sizes, capped
     at ``bound + 1``, which a node never expanded and all that reach it get.
-    Tarjan emits components callees first, so successors' facts are always ready.
+    One Tarjan pass decides each component as it closes; a successor of size 0 lies in it.
     """
-    graph = [(y,) if out is None else out for y, out in enumerate(succ)]
-    comp = [-1] * len(graph)
-    flag = bytearray(len(graph))
-    walks = [0] * len(graph)
-    size = [0] * len(graph)
-    for c, nodes in enumerate(strongly_connected_components(graph)):
-        for y in nodes:
-            comp[y] = c
-        cyclic = len(nodes) > 1 or nodes[0] in graph[nodes[0]]
-        f = w = 0
-        # A node never expanded reaches only itself, so it is a component alone.
-        u = len(nodes) if succ[nodes[0]] is not None else bound + 1
-        for y in nodes:
-            inner = 0
-            for z in graph[y]:
-                if comp[z] == c:
-                    inner += 1
+    n = len(succ)
+    flag, walks, size = bytearray(n), [0] * n, [0] * n
+    index, low = [0] * n, [0] * n  # visit order, from 1; a visited node of size 0 is on the stack
+    stack: list[int] = []
+    counter = 0
+    for top in range(n):
+        if index[top]:
+            continue
+        index[top] = low[top] = counter = counter + 1
+        stack.append(top)
+        work = [(top, iter(succ[top] or ()))]
+        while work:
+            v, it = work[-1]
+            for z in it:
+                if not index[z]:
+                    index[z] = low[z] = counter = counter + 1
+                    stack.append(z)
+                    work.append((z, iter(succ[z] or ())))
+                    break
+                if not size[z] and index[z] < low[v]:
+                    low[v] = index[z]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] < index[v]:
+                    continue
+                if stack[-1] == v:
+                    nodes = (stack.pop(),)
                 else:
-                    u += size[z]
-                    w += walks[z]
-                    if walks[z]:
-                        f = max(f, cyclic, flag[z])
-            if inner > 1:
-                f = 2
-        u = min(u, bound + 1)
-        for y in nodes:
-            flag[y] = f
-            walks[y] = 1 if cyclic or f else w
-            size[y] = u
+                    k = len(stack) - 1
+                    while stack[k] != v:
+                        k -= 1
+                    nodes = stack[k:]
+                    del stack[k:]
+                if succ[v] is None:  # its self-loop makes it a component alone
+                    walks[v], size[v] = 1, bound + 1
+                    continue
+                cyclic = len(nodes) > 1 or v in succ[v]
+                f = w = u = 0
+                for y in nodes:
+                    inner = 0
+                    for z in succ[y]:
+                        if size[z]:
+                            u += size[z]
+                            w += walks[z]
+                            if flag[z] > f:  # a dead exit's flag is 0
+                                f = flag[z]
+                        else:
+                            inner += 1
+                    if inner > 1:
+                        f = 2
+                if cyclic and w and not f:
+                    f = 1  # a cycle with an exit to a live node
+                w = 1 if cyclic or f else w
+                u += len(nodes)
+                if u > bound:
+                    u = bound + 1
+                for y in nodes:
+                    flag[y] = f
+                    walks[y] = w
+                    size[y] = u
     return flag, walks, size
 
 
@@ -409,20 +448,20 @@ def _classify(
 ) -> list[Cardinality]:
     """``classify_many`` on points as reduced ``(num, den)`` pairs, den > 0.
     One pass expands every residual the batch reaches, up to ``max_nodes``
-    ids per distinct point, and one Tarjan pass decides them all. Only the
-    points whose size bound exceeds min(max_nodes, max_depth) walk to learn
-    whether they hit a limit (see ``_Residuals.walk``), and if the pass
-    stopped at its cap the facts are taken again after those walks. Equal
-    verdicts are one shared object: one is built per distinct limit or
-    ``(flag, walks)`` fact."""
+    ids per distinct point, and one Tarjan pass decides them all. A point
+    reaches no more ids than its size bound or the ids interned, so only if
+    both exceed min(max_nodes, max_depth) does it walk to learn whether it
+    hits a limit (see ``_Residuals.walk``); if the pass stopped at its cap
+    the facts are taken again after those walks. Equal verdicts are one
+    shared object: one is built per distinct limit or ``(flag, walks)`` fact."""
     res = _Residuals(ifs, pairs, max_nodes, max_depth)
     roots = dict.fromkeys(res.roots)
     complete = res.expand(max_nodes * len(roots))
-    flag, walks, size = res.facts()
     bound = min(max_nodes, max_depth)
-    limits = {root: res.walk(root)[2] for root in roots if size[root] > bound}
+    flag, walks, size = _facts(res.succ, bound)
+    limits = {root: res.walk(root)[2] for root in roots if min(size[root], len(res.pairs)) > bound}
     if not complete:
-        flag, walks, _ = res.facts()
+        flag, walks, _ = _facts(res.succ, bound)
     shared: dict[object, Cardinality] = {}
     verdicts = []
     for root in res.roots:

@@ -1,4 +1,5 @@
-"""Iterative Tarjan strongly connected components."""
+"""Iterative Tarjan strongly connected components. No command runs this module
+(``codings`` runs its own pass); the benchmark's tracer and the tests' reference do."""
 
 from __future__ import annotations
 

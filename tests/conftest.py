@@ -223,6 +223,42 @@ def strongly_connected(gds) -> bool:
     return gds.size > 0 and len(strongly_connected_components(successors)) == 1
 
 
+def reference_facts(succ, bound: int):
+    """``codings._facts`` in two passes: the generic Tarjan lists the
+    components, callees first, and a second loop over every edge reads the
+    facts of each component from its exits' facts. The slow reference for
+    the fused pass."""
+    graph = [(y,) if out is None else out for y, out in enumerate(succ)]
+    comp = [-1] * len(graph)
+    flag = bytearray(len(graph))
+    walks = [0] * len(graph)
+    size = [0] * len(graph)
+    for c, nodes in enumerate(strongly_connected_components(graph)):
+        for y in nodes:
+            comp[y] = c
+        cyclic = len(nodes) > 1 or nodes[0] in graph[nodes[0]]
+        f = w = 0
+        u = len(nodes) if succ[nodes[0]] is not None else bound + 1
+        for y in nodes:
+            inner = 0
+            for z in graph[y]:
+                if comp[z] == c:
+                    inner += 1
+                else:
+                    u += size[z]
+                    w += walks[z]
+                    if walks[z]:
+                        f = max(f, cyclic, flag[z])
+            if inner > 1:
+                f = 2
+        u = min(u, bound + 1)
+        for y in nodes:
+            flag[y] = f
+            walks[y] = 1 if cyclic or f else w
+            size[y] = u
+    return flag, walks, size
+
+
 def member_instances(seed: int, count: int):
     rng = random.Random(seed)
     return [random_member(rng) for _ in range(count)]

@@ -17,6 +17,7 @@ from conftest import (
     random_member,
     random_unequal_member,
     reference_codings,
+    reference_facts,
     reference_residual_graph,
     sweep_words,
     uneven_maps,
@@ -38,6 +39,7 @@ from overlapifs import (
     make_witness,
     symbolic_point,
 )
+from overlapifs.codings import _facts
 from overlapifs.system import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES
 
 
@@ -353,6 +355,20 @@ class TestClassifyMany:
         got = classify_many(noend, list(sweep_words(noend, 2, 2, 300)))
         assert len({id(v) for v in got}) == len(set(got))
 
+    @pytest.mark.parametrize("name,k", [("quad", 32), ("uneven", 64), ("noend", 128)])
+    def test_small_batch_walks_no_root(self, name, k, monkeypatch, request):
+        # a witness's tail and point intern at most min(max_nodes, max_depth)
+        # residuals, so neither can hit a limit, though the point's size
+        # bound, which sums over both exits of every overlap block, is larger
+        walks = spy(monkeypatch, "walk")
+        ifs, report = request.getfixturevalue(name), request.getfixturevalue(f"{name}_report")
+        w = make_witness(ifs, report, Cardinality.finite(k))
+        assert walks == []
+        pair = w.value.numerator, w.value.denominator
+        res = overlapifs.codings._Residuals(ifs, [pair], DEFAULT_MAX_NODES, DEFAULT_MAX_DEPTH)
+        assert res.expand(DEFAULT_MAX_DEPTH)
+        assert _facts(res.succ, DEFAULT_MAX_DEPTH)[2][0] > DEFAULT_MAX_DEPTH
+
     def test_empty_batch(self, quad):
         assert classify_many(quad, []) == []
 
@@ -472,17 +488,57 @@ class TestGraphView:
 
     def test_one_tarjan_pass_per_graph(self, quad, monkeypatch):
         calls = []
-        tarjan = overlapifs.codings.strongly_connected_components
 
-        def counted(succ):
+        def counted(succ, bound):
             calls.append(len(succ))
-            return tarjan(succ)
+            return _facts(succ, bound)
 
-        monkeypatch.setattr(overlapifs.codings, "strongly_connected_components", counted)
+        monkeypatch.setattr(overlapifs.codings, "_facts", counted)
         g = build_residual_graph(quad, F(109, 625))
         assert classify_cardinality(g) == Cardinality.finite(2)
         assert enumerate_codings(quad, g.root, 4, graph=g)
-        assert len(calls) == 1
+        assert calls == [len(g.residuals.pairs)]
+
+    def test_closed_graphs_walk_no_root(self, quad, uneven, monkeypatch):
+        # a long word reaches a few dozen residuals, fewer than
+        # min(max_nodes, max_depth): expansion closes its graph, so no limit
+        # can be hit and no root walks, on its own or in a one-point batch
+        rng = random.Random(12)
+        points = []
+        for ifs in (quad, uneven):
+            for _ in range(20):
+                pre = [rng.randint(1, ifs.m) for _ in range(rng.randint(12, 24))]
+                per = [rng.randint(1, ifs.m) for _ in range(rng.randint(3, 8))]
+                points.append((ifs, evaluate(ifs, pre, per)))
+
+        def refuse(self, root):
+            raise AssertionError("a root walked")
+
+        monkeypatch.setattr(overlapifs.codings._Residuals, "walk", refuse)
+        for ifs, x in points:
+            g = build_residual_graph(ifs, x)
+            assert g.exhausted
+            verdict = classify_cardinality(g)
+            assert classify_point(ifs, x) == verdict
+            assert enumerate_codings(ifs, x, 4, graph=g) == enumerate_codings(ifs, x, 4)
+
+
+class TestFacts:
+    """The fused Tarjan pass against the two-pass reference."""
+
+    def test_matches_two_pass_reference(self):
+        # unexpanded nodes (None), dead ends (()), duplicate successors and
+        # self-loops all occur among these graphs
+        rng = random.Random(20)
+        for _ in range(4000):
+            n = rng.randint(1, 12)
+            succ = []
+            for _ in range(n):
+                r = rng.random()
+                out = tuple(rng.randrange(n) for _ in range(rng.randint(1, 2)))
+                succ.append(None if r < 0.1 else () if r < 0.2 else out)
+            bound = rng.randint(1, 15)
+            assert _facts(succ, bound) == reference_facts(succ, bound), (succ, bound)
 
 
 class TestBigDenominators:

@@ -625,11 +625,11 @@ STARTS = {
     "validate-json": (["validate", "quad.ifs", "--json", "out.json"], PARSING),
     "partition": (["partition", "quad.ifs"], PARSING | {"dimension"}),
     "dim": (["dim", "uneven.ifs", "--set", "U1"], PARSING | {"dimension"}),
-    "classify": (["classify", "quad.ifs", "--point", "w=2;p=4"], PARSING | {"codings", "scc"}),
-    "witness": (["witness", "noend.ifs", "--target", "finite:2"], PARSING | {"codings", "scc"}),
+    "classify": (["classify", "quad.ifs", "--point", "w=2;p=4"], PARSING | {"codings"}),
+    "witness": (["witness", "noend.ifs", "--target", "finite:2"], PARSING | {"codings"}),
     "verify": (
         ["verify", "quad.ifs", "--theorem", "1"],
-        PARSING | {"codings", "scc", "dimension", "verify"},
+        PARSING | {"codings", "dimension", "verify"},
     ),
 }
 
