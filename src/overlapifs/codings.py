@@ -62,9 +62,17 @@ class SymbolicPoint(_Value):
     value: Fraction
 
     def __str__(self) -> str:
-        pre = ",".join(str(d) for d in self.preperiod)
-        per = ",".join(str(d) for d in self.period)
-        return f"w={pre};p={per}"
+        return self.brief(None)
+
+    def brief(self, keep: int | None = 12) -> str:
+        """``w=<digits>;p=<digits>``, a word cut to its first and last ``keep`` digits where shorter."""
+        def show(w: tuple[int, ...]) -> str:
+            full = ",".join(map(str, w))
+            if keep is None or len(w) <= 2 * keep:
+                return full
+            head, tail = show(w[:keep]), show(w[len(w) - keep:])
+            return min(full, f"{head} ...({len(w) - 2 * keep} digits left out)... {tail}", key=len)
+        return f"w={show(self.preperiod)};p={show(self.period)}"
 
     @classmethod
     def parse(cls, text: str, ifs: Ifs) -> SymbolicPoint:
@@ -102,33 +110,33 @@ def symbolic_point(ifs: Ifs, preperiod: Sequence[int], period: Sequence[int]) ->
 class _Residuals:
     """Residuals of one system, each interned once as an id 0, 1, 2, ...
 
-    ``pairs[i]``, the key of ``ids``, is residual i as a reduced pair of ints,
-    as are the roots. ``succ[i]`` holds the ids of its inverse images through
-    its admissible digits ``labels[i]``, set by ``successors`` in one loop
-    over rows ``(d, lo, hi, a, b, c)``: if hull image [lo, hi] / den contains
-    n/q, the map x -> (a*x + b) / c takes it back to (c*n - b*q) / (a*q),
-    interned reduced. No residual is expanded twice, so all roots share one
-    graph: ``expand`` reaches it from every root in one pass, and ``walk``
-    follows one root within the limits only when it might hit one.
+    ``pairs[i]``, the key of ``ids``, is residual i as a reduced pair of ints, as
+    are the roots, each checked against the hull by ``root``. ``successors`` sets
+    ``succ[i]``, the ids of its inverse images through its admissible digits
+    ``labels[i]``: row ``(d, lo, hi, a, b, c)``'s hull image [lo, hi] / den holds n/q
+    when lo <= floor(n*den / q) and ceil(n*den / q) <= hi, and x -> (a*x + b) / c takes
+    it back to (c*n - b*q) / (a*q), interned reduced. No residual is expanded twice,
+    so all roots share one graph: ``expand`` reaches it from every root in one pass,
+    and ``walk`` follows one root within the limits only when it might hit one.
     """
 
     def __init__(self, ifs: Ifs, roots: Sequence[tuple[int, int]], max_nodes: int, max_depth: int):
         if max_nodes < 1 or max_depth < 1:
             raise ValueError("max_nodes and max_depth must be >= 1")
-        den, (lo, hi), pieces = ifs.bounds
-        for n, q in roots:
-            if not lo * q <= n * den <= hi * q:
-                raise PointNotInAttractorError(f"{Fraction(n, q)} lies outside the hull {ifs.hull}")
+        self.den, self.hull, pieces = ifs.bounds
         self.rows = [(d, *iv, *f) for d, (iv, f) in enumerate(zip(pieces, ifs.integer_maps), 1)]
-        self.den, self.max_nodes, self.max_depth = den, max_nodes, max_depth
+        self.ifs, self.max_nodes, self.max_depth = ifs, max_nodes, max_depth
         self.ids: dict[tuple[int, int], int] = {}
         self.pairs: list[tuple[int, int]] = []
         self.labels: dict[int, list[int]] = {}
         self.succ: list[tuple[int, ...] | None] = []
-        self.roots = [self.intern(pair) for pair in roots]
+        self.roots = [self.root(pair) for pair in roots]
 
-    def intern(self, pair: tuple[int, int]) -> int:
-        """The id of a reduced pair (num, den), den > 0."""
+    def root(self, pair: tuple[int, int]) -> int:
+        """The id of a point in the hull as a reduced pair (num, den), den > 0."""
+        (n, q), (lo, hi) = pair, self.hull
+        if not lo * q <= n * self.den <= hi * q:
+            raise PointNotInAttractorError(f"{Fraction(n, q)} lies outside the hull {self.ifs.hull}")
         i = self.ids.setdefault(pair, len(self.pairs))
         if i == len(self.pairs):
             self.pairs.append(pair)
@@ -143,10 +151,11 @@ class _Residuals:
         if out is None:
             ids, pairs, succ = self.ids, self.pairs, self.succ
             n, q = pairs[i]
-            p = n * self.den
+            fl, r = divmod(n * self.den, q)
+            ce = fl + (r > 0)
             digits, found = [], []
             for d, lo, hi, a, b, c in self.rows:
-                if lo * q <= p <= hi * q:
+                if lo <= fl and ce <= hi:
                     num, den = c * n - b * q, a * q
                     g = gcd(num, den)
                     pair = num // g, den // g
@@ -339,7 +348,8 @@ def _facts(
     from y into terminal cycles. ``size[y]`` bounds the number of nodes y
     reaches, y included: its component's size plus its exits' sizes, capped
     at ``bound + 1``, which a node never expanded and all that reach it get.
-    One Tarjan pass decides each component as it closes; a successor of size 0 lies in it.
+    One Tarjan pass decides each component as it closes; a successor of size 0 lies in it,
+    and a top whose successors are all decided, none of them itself, closes alone at once.
     """
     n = len(succ)
     flag, walks, size = bytearray(n), [0] * n, [0] * n
@@ -350,8 +360,18 @@ def _facts(
         if index[top]:
             continue
         index[top] = low[top] = counter = counter + 1
+        out = succ[top]
+        if out is not None and top not in out:
+            f, w, u = 0, 0, 1
+            for z in out:
+                if not index[z]:
+                    break
+                u, w, f = u + size[z], w + walks[z], flag[z] if flag[z] > f else f
+            else:  # every successor is decided: top closes alone, on no cycle
+                flag[top], walks[top], size[top] = f, 1 if f else w, u if u <= bound else bound + 1
+                continue
         stack.append(top)
-        work = [(top, iter(succ[top] or ()))]
+        work = [(top, iter(out or ()))]
         while work:
             v, it = work[-1]
             for z in it:
@@ -440,31 +460,27 @@ def classify_many(
     Each verdict (or PointNotInAttractorError) is that of
     ``classify_cardinality(build_residual_graph(...))`` with the same limits.
     """
-    return _classify(ifs, [(x.numerator, x.denominator) for x in values], max_nodes, max_depth)
+    res = _Residuals(ifs, [(x.numerator, x.denominator) for x in values], max_nodes, max_depth)
+    verdicts = _classify(res)
+    return [verdicts[root] for root in res.roots]
 
 
-def _classify(
-    ifs: Ifs, pairs: Sequence[tuple[int, int]], max_nodes: int, max_depth: int
-) -> list[Cardinality]:
-    """``classify_many`` on points as reduced ``(num, den)`` pairs, den > 0.
-    One pass expands every residual the batch reaches, up to ``max_nodes``
-    ids per distinct point, and one Tarjan pass decides them all. A point
-    reaches no more ids than its size bound or the ids interned, so only if
-    both exceed min(max_nodes, max_depth) does it walk to learn whether it
-    hits a limit (see ``_Residuals.walk``); if the pass stopped at its cap
-    the facts are taken again after those walks. Equal verdicts are one
-    shared object: one is built per distinct limit or ``(flag, walks)`` fact."""
-    res = _Residuals(ifs, pairs, max_nodes, max_depth)
-    roots = dict.fromkeys(res.roots)
-    complete = res.expand(max_nodes * len(roots))
-    bound = min(max_nodes, max_depth)
+def _classify(res: _Residuals) -> list[Cardinality]:
+    """The verdicts of roots 0..k-1, the ids interned so far, one object per distinct
+    verdict. One pass expands all they reach, up to ``max_nodes`` ids per root, and one
+    Tarjan pass decides them. A root walks (``_Residuals.walk``) only if its size bound
+    and the ids interned both exceed min(max_nodes, max_depth), the most it could reach;
+    if the pass stopped at its cap, the facts are taken again after."""
+    k = len(res.pairs)
+    complete = res.expand(res.max_nodes * k)
+    bound = min(res.max_nodes, res.max_depth)
     flag, walks, size = _facts(res.succ, bound)
-    limits = {root: res.walk(root)[2] for root in roots if min(size[root], len(res.pairs)) > bound}
+    limits = {r: res.walk(r)[2] for r in range(k) if size[r] > bound} if len(res.pairs) > bound else {}
     if not complete:
         flag, walks, _ = _facts(res.succ, bound)
     shared: dict[object, Cardinality] = {}
     verdicts = []
-    for root in res.roots:
+    for root in range(k):
         limit = limits.get(root)
         key = limit or (flag[root], walks[root])
         if key not in shared:
@@ -603,9 +619,9 @@ def make_witness(
         )
     if verdict.kind == "unknown":
         raise WitnessVerificationError(
-            f"witness {point} could not be verified within the limits: its classification "
+            f"witness {point.brief()} could not be verified within the limits: its classification "
             f"{limit_hit(verdict)}"
         )
     if verdict != target:
-        raise WitnessVerificationError(f"witness {point} is {verdict}, not the target {target}")
+        raise WitnessVerificationError(f"witness {point.brief()} is {verdict}, not the target {target}")
     return point

@@ -7,13 +7,13 @@ command line and the test suite.
 
 from __future__ import annotations
 
-from itertools import product
 from math import gcd
 
 from .codings import (
     Cardinality,
     UnreachableTargetError,
     _classify,
+    _Residuals,
     classify_many,
     evaluate,
     make_witness,
@@ -77,16 +77,16 @@ def dichotomy_sweep(
 ) -> dict:
     """Classify a dense sample of eventually periodic points.
 
-    Enumerates every word with the given preperiod and period bounds in a
-    fixed order, deduplicates by exact value and classifies up to ``cap``
-    (>= 0) distinct points in one batch. A value is the composed map of its
-    preperiod at the fixed point of its period, in integers: each word's map
-    (a, b, c), x -> (a x + b) / c, extends the word one digit shorter by one
-    of ``Ifs.integer_maps``, and each value is a reduced (numerator,
-    denominator) pair, equal to ``evaluate``'s and handed to the batch
-    classifier as it is, with no Fraction built. Returns tallies plus any
-    verdicts that break the power-of-two dichotomy (a finite count that is
-    not a power of two, or a countable verdict).
+    Takes the first word of each distinct value, in a fixed order of the words
+    within the bounds, up to ``cap`` (>= 0) points, skipping words whose value an
+    earlier word has: a period u^k (k >= 2) has period u's, and a preperiod ending
+    in the period's last digit p_k has that of the preperiod one shorter with
+    period p_k p_1 .. p_(k-1). A word's map (a, b, c), x -> (a x + b) / c, extends
+    the word one digit shorter by one of ``Ifs.integer_maps``; its value, the
+    preperiod's map at the period's fixed point, goes as a reduced integer pair
+    straight into one residual table, with no Fraction built. Returns tallies of
+    the verdicts plus any that break the power-of-two dichotomy (a finite count
+    that is not a power of two, or a countable verdict).
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -98,21 +98,25 @@ def dichotomy_sweep(
             for d, (p, q, r) in enumerate(ifs.integer_maps, 1)
         ])
     heads = [word for n in range(max_preperiod + 1) for word in levels[n]]
-    # each period with its fixed point b / (c - a)
-    tails = [(per, b, c - a) for n in range(1, max_period + 1) for per, (a, b, c) in levels[n]]
-    first: dict[tuple[int, int], tuple] = {}  # each distinct reduced value -> its first word
-    for (pre, (a, b, c)), (per, n, d) in product(heads, tails):
-        if len(first) >= cap:
+    # primitive periods with fixed point b / (c - a); after[d]: those not ending in d (d=0: all)
+    tails = [(per, b, c - a) for n in range(1, max_period + 1) for per, (a, b, c) in levels[n]
+             if all(per[k:] + per[:k] != per for k in range(1, n))]
+    after = [[t for t in tails if t[0][-1] != d] for d in range(ifs.m + 1)]
+    res = _Residuals(ifs, (), max_nodes, max_depth)
+    words: list[tuple] = []  # the first word of each root id
+    pairs = ((pre, abc, t) for pre, abc in heads for t in after[pre[-1] if pre else 0])
+    for pre, (a, b, c), (per, n, d) in pairs:
+        if len(words) >= cap:
             break
         num, den = a * n + b * d, c * d
         g = gcd(num, den)
-        first.setdefault((num // g, den // g), (pre, per))
+        if res.root((num // g, den // g)) == len(words):
+            words.append((pre, per))
 
     tally = {"finite": 0, "countable": 0, "continuum": 0, "unknown": 0}
     finite_counts: set[int] = set()
     violations: list[str] = []
-    verdicts = _classify(ifs, list(first), max_nodes, max_depth)
-    for (pre, per), verdict in zip(first.values(), verdicts):
+    for (pre, per), verdict in zip(words, _classify(res)):
         tally[verdict.kind] += 1
         if verdict.kind == "finite":
             finite_counts.add(verdict.count)
@@ -121,7 +125,7 @@ def dichotomy_sweep(
         elif verdict.kind == "countable":
             violations.append(f"w={pre};p={per} -> countable")
     return {
-        "classified": len(first),
+        "classified": len(words),
         "tally": tally,
         "finite_counts": sorted(finite_counts),
         "violations": violations,

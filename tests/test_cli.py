@@ -325,6 +325,17 @@ class TestWitnessCommand:
         assert code == 2
         assert text.rstrip().endswith("hit max_nodes=300; raise it with --max-nodes")
 
+    # finite(2000) has a head of about 2000 digits; the error line keeps the
+    # word's first and last digits and says how many it left out.
+    def test_long_witness_word_is_shortened_in_the_error(self, quad_file):
+        code, text = run(["witness", quad_file, "--target", "finite:2000", "--max-depth", "100"])
+        assert code == 2
+        (line,) = text.splitlines()
+        assert len(line.encode()) < 1024
+        assert line.startswith("error: witness w=1,4,4,4,4,4,4,4,4,4,4,4 ...(1977 digits left out)... 4,")
+        assert ",4,2;p=4 could not be verified" in line
+        assert "hit max_depth=100" in line and "--max-depth" in line
+
     def test_raised_limit_builds_the_witness(self, quad_file):
         code, text = run(["witness", quad_file, "--target", "finite:600", "--max-depth", "2000"])
         assert code == 0

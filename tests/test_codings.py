@@ -70,6 +70,20 @@ class TestEvaluate:
         assert p.value == F(109, 625)
         assert str(p) == "w=1,4,2;p=4"
 
+    def test_brief_cuts_only_long_words(self, quad):
+        p = symbolic_point(quad, (1, 4, 2), (4,))
+        assert p.brief() == p.brief(2) == str(p)
+        # a word is cut only where the cut is shorter: 25 and 32 digits are not
+        for n in (25, 32):
+            word = symbolic_point(quad, (1,) + (4,) * (n - 2) + (2,), (1, 2, 3))
+            assert word.brief() == word.brief(None) == str(word)
+        long = symbolic_point(quad, (1,) + (4,) * 40 + (2,), (1, 2, 3))
+        assert long.brief() == (
+            "w=1,4,4,4,4,4,4,4,4,4,4,4 ...(18 digits left out)... 4,4,4,4,4,4,4,4,4,4,4,2;p=1,2,3"
+        )
+        assert long.brief(1) == "w=1 ...(40 digits left out)... 2;p=1,2,3"
+        assert long.brief(0) == "w= ...(42 digits left out)... ;p=1,2,3"
+
     def test_parse_round_trip(self, quad):
         p = SymbolicPoint.parse("w=1,4,2;p=4", quad)
         assert p == symbolic_point(quad, (1, 4, 2), (4,))
@@ -84,11 +98,13 @@ class TestEvaluate:
 
 def digits(ifs, x):
     """The walk's integer hull test on x: the digits its expansion labels,
-    in a residual store built with no roots, so x skips the hull check."""
+    in a residual store built with no roots and given x as residual 0
+    directly, so x skips the root's hull check."""
     res = overlapifs.codings._Residuals(ifs, [], 1, 1)
-    i = res.intern((x.numerator, x.denominator))
-    res.successors(i)
-    return res.labels[i]
+    res.pairs.append((x.numerator, x.denominator))
+    res.succ.append(None)
+    res.successors(0)
+    return res.labels[0]
 
 
 class TestAdmissibleDigits:
@@ -528,14 +544,21 @@ class TestFacts:
 
     def test_matches_two_pass_reference(self):
         # unexpanded nodes (None), dead ends (()), duplicate successors and
-        # self-loops all occur among these graphs
+        # self-loops all occur among these graphs. In the second half most
+        # successors have lower ids, so most tops find all their successors
+        # decided and close at once, unless one of them is the top itself;
+        # such tops also get duplicate successors and unexpanded ones.
         rng = random.Random(20)
-        for _ in range(4000):
+        for trial in range(8000):
             n = rng.randint(1, 12)
             succ = []
-            for _ in range(n):
+            for y in range(n):
                 r = rng.random()
-                out = tuple(rng.randrange(n) for _ in range(rng.randint(1, 2)))
+                if trial < 4000 or not y:
+                    out = tuple(rng.randrange(n) for _ in range(rng.randint(1, 2)))
+                else:
+                    out = tuple(rng.randrange(y) for _ in range(rng.randint(1, 2)))
+                    out += (y,) * (rng.random() < 0.2) + out[:1] * (rng.random() < 0.2)
                 succ.append(None if r < 0.1 else () if r < 0.2 else out)
             bound = rng.randint(1, 15)
             assert _facts(succ, bound) == reference_facts(succ, bound), (succ, bound)

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+import overlapifs.codings
 import overlapifs.verify
 from conftest import (
     noend_maps,
@@ -20,8 +21,10 @@ from overlapifs import (
     Cardinality,
     DimensionResult,
     Ifs,
+    PointNotInAttractorError,
     build_residual_graph,
     classify_cardinality,
+    classify_many,
     dichotomy_sweep,
     run_theorem_harness,
     validate,
@@ -190,12 +193,13 @@ class TestSweepPoints:
 
     @staticmethod
     def handed_over(monkeypatch, ifs, **bounds):
-        """Each pair the sweep hands ``_classify``, in order, with its word as the
-        violation text prints it: every point is made to read countable."""
+        """Each pair the sweep interns as a root, in order, with its word as the
+        violation text prints it: the shared step that classifies the roots is
+        replaced, before it expands any, by one that reads every root countable."""
         seen = []
 
-        def countable(ifs, pairs, max_nodes, max_depth):
-            seen.extend(pairs)
+        def countable(res):
+            seen.extend(res.pairs)
             return [Cardinality.countable()] * len(seen)
 
         monkeypatch.setattr(overlapifs.verify, "_classify", countable)
@@ -231,6 +235,90 @@ class TestSweepPoints:
         report = validate(_non_unit_member())
         assert report.member
         assert [(s.index, s.u, s.v) for s in report.overlaps] == [(1, 1, 1)]
+
+
+class TestCanonicalWords:
+    """The sweep evaluates canonical words only: no period that is a power of a
+    shorter word, and no preperiod ending in the period's last digit. Its
+    words, tallies and violations equal those of the unfiltered words of
+    ``sweep_words``, each value classified on its own."""
+
+    LIMIT = 1500  # values taken from sweep_words, to keep the slow reference quick
+
+    @staticmethod
+    def expected(words: dict, verdicts: list) -> dict:
+        tally = {"finite": 0, "countable": 0, "continuum": 0, "unknown": 0}
+        counts, violations = set(), []
+        for (pre, per), verdict in zip(words.values(), verdicts):
+            tally[verdict.kind] += 1
+            if verdict.kind == "countable":
+                violations.append(f"w={pre};p={per} -> countable")
+            elif verdict.kind == "finite":
+                counts.add(verdict.count)
+                if verdict.count & (verdict.count - 1):
+                    violations.append(f"w={pre};p={per} -> finite({verdict.count})")
+        return {"classified": len(words), "tally": tally, "finite_counts": sorted(counts),
+                "violations": violations}
+
+    # each bound reaches periods that are powers (1,1) and preperiods ending in
+    # the period's last digit, so both rules drop words
+    @pytest.mark.parametrize("bounds", [(4, 3), (2, 4), (5, 2), (1, 4)], ids=str)
+    @pytest.mark.parametrize("index", range(len(_sweep_systems())))
+    def test_matches_unfiltered_words(self, monkeypatch, index, bounds):
+        ifs = _sweep_systems()[index]
+        pre, per = bounds
+        words = sweep_words(ifs, pre, per, self.LIMIT)
+        verdicts = classify_many(ifs, list(words))
+        # past the count when sweep_words ran out of words below the limit
+        full = len(words) < self.LIMIT
+        caps = [0, 1, len(words) // 2, len(words) + 1 if full else len(words)]
+        for cap in caps:
+            head = dict(list(words.items())[:cap])
+            sweep = dichotomy_sweep(ifs, pre, per, cap)
+            assert sweep == self.expected(head, verdicts[:cap])
+            bounds = {"max_preperiod": pre, "max_period": per, "cap": cap}
+            handed = TestSweepPoints.handed_over(monkeypatch, ifs, **bounds)
+            monkeypatch.undo()
+            assert handed == [
+                ((x.numerator, x.denominator), f"w={w};p={p}") for x, (w, p) in head.items()
+            ]
+
+    @pytest.mark.parametrize("limits", [{"max_nodes": 3}, {"max_depth": 2}, {"max_nodes": 1}])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_limited_sweep_matches_unfiltered_words(self, index, limits):
+        # unknown verdicts are read off the limits the shared step found
+        ifs = _sweep_systems()[index]
+        words = sweep_words(ifs, 2, 2, 300)
+        verdicts = classify_many(ifs, list(words), **limits)
+        assert Cardinality.unknown(next(iter(limits))) in verdicts
+        assert dichotomy_sweep(ifs, 2, 2, 300, **limits) == self.expected(words, verdicts)
+
+    def test_root_with_no_path_raises(self, noend, monkeypatch):
+        facts = overlapifs.codings._facts
+
+        def dead_first_root(succ, bound):
+            flag, walks, size = facts(succ, bound)
+            flag[0] = walks[0] = 0
+            return flag, walks, size
+
+        monkeypatch.setattr(overlapifs.codings, "_facts", dead_first_root)
+        with pytest.raises(PointNotInAttractorError, match="has no infinite digit path"):
+            dichotomy_sweep(noend, cap=10)
+
+    def test_noend_default_sweep_evaluates_canonical_words_only(self, noend, monkeypatch):
+        # the unfiltered order takes 9,619 words to reach 5,000 distinct
+        # values, and 6,545 of those words are canonical
+        roots = []
+        root = overlapifs.codings._Residuals.root
+
+        def counted(self, pair):
+            roots.append(pair)
+            return root(self, pair)
+
+        monkeypatch.setattr(overlapifs.codings._Residuals, "root", counted)
+        assert dichotomy_sweep(noend)["classified"] == 5000
+        assert len(roots) == 6545
+        assert len(set(roots)) == 5000
 
 
 class TestValidation:
