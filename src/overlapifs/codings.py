@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -253,7 +254,7 @@ class ResidualGraph(_Value):
     @cached_property
     def facts(self) -> tuple[bytearray, list[int], list[int]]:
         res = self.residuals
-        return _facts(res.succ, min(res.max_nodes, res.max_depth))
+        return _facts(res.succ, min(res.max_nodes, res.max_depth), len(res.roots))
 
 
 def build_residual_graph(
@@ -335,7 +336,7 @@ class Cardinality(_Value):
 
 
 def _facts(
-    succ: Sequence[Sequence[int] | None], bound: int
+    succ: Sequence[Sequence[int] | None], bound: int, roots: int
 ) -> tuple[bytearray, list[int], list[int]]:
     """Root-independent facts of every node y of a graph on ids 0..n-1.
 
@@ -350,13 +351,16 @@ def _facts(
     at ``bound + 1``, which a node never expanded and all that reach it get.
     One Tarjan pass decides each component as it closes; a successor of size 0 lies in it,
     and a top whose successors are all decided, none of them itself, closes alone at once.
+    It takes the ids expansion interned, ``roots..n-1``, last first, then the roots in order:
+    an id is interned after a parent that reaches it, so most tops then close at once, and
+    sweep roots are interned successors-first. Facts do not depend on the order.
     """
     n = len(succ)
     flag, walks, size = bytearray(n), [0] * n, [0] * n
     index, low = [0] * n, [0] * n  # visit order, from 1; a visited node of size 0 is on the stack
     stack: list[int] = []
     counter = 0
-    for top in range(n):
+    for top in chain(range(n - 1, roots - 1, -1), range(roots)):
         if index[top]:
             continue
         index[top] = low[top] = counter = counter + 1
@@ -474,10 +478,10 @@ def _classify(res: _Residuals) -> list[Cardinality]:
     k = len(res.pairs)
     complete = res.expand(res.max_nodes * k)
     bound = min(res.max_nodes, res.max_depth)
-    flag, walks, size = _facts(res.succ, bound)
+    flag, walks, size = _facts(res.succ, bound, k)
     limits = {r: res.walk(r)[2] for r in range(k) if size[r] > bound} if len(res.pairs) > bound else {}
     if not complete:
-        flag, walks, _ = _facts(res.succ, bound)
+        flag, walks, _ = _facts(res.succ, bound, k)
     shared: dict[object, Cardinality] = {}
     verdicts = []
     for root in range(k):
@@ -533,6 +537,12 @@ def enumerate_codings(
             if walks[z]:
                 stack.append((z, prefix + (d,)))
     return sorted(words)
+
+
+def _limit_hint(limit: str, max_nodes: int, max_depth: int) -> str:
+    """``hit <limit>=<value>; raise it with --<flag>``, for an unknown verdict's limit."""
+    value = max_depth if limit == "max_depth" else max_nodes
+    return f"hit {limit}={value}; raise it with --{limit.replace('_', '-')}"
 
 
 def make_witness(
@@ -608,19 +618,15 @@ def make_witness(
     points = [point] if tail is None else [symbolic_point(ifs, *tail), point]
     *checked, verdict = classify_many(ifs, [p.value for p in points], max_nodes, max_depth)
 
-    def limit_hit(unknown: Cardinality) -> str:
-        value = max_depth if unknown.limit == "max_depth" else max_nodes
-        return f"hit {unknown.limit}={value}; raise it with --{unknown.limit.replace('_', '-')}"
-
     if checked and checked[0] != Cardinality.finite(1):
-        cut = f": it {limit_hit(checked[0])}" if checked[0].kind == "unknown" else ""
+        cut = f": it {_limit_hint(checked[0].limit, max_nodes, max_depth)}" if checked[0].limit else ""
         raise WitnessVerificationError(
             f"tail {points[0]} was expected to have a unique coding, classifier says {checked[0]}{cut}"
         )
     if verdict.kind == "unknown":
         raise WitnessVerificationError(
             f"witness {point.brief()} could not be verified within the limits: its classification "
-            f"{limit_hit(verdict)}"
+            f"{_limit_hint(verdict.limit, max_nodes, max_depth)}"
         )
     if verdict != target:
         raise WitnessVerificationError(f"witness {point.brief()} is {verdict}, not the target {target}")

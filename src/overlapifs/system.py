@@ -103,7 +103,8 @@ class Ifs(_Value):
     @cached_property
     def bounds(self) -> tuple[int, tuple[int, int], tuple[tuple[int, int], ...]]:
         """``(den, hull, pieces)``: every endpoint as an integer numerator over one common
-        ``den``, so that closed membership is an exact integer cross-multiplication."""
+        ``den``: n/q lies in image [lo, hi] / den when lo <= floor(n*den/q) and ceil(n*den/q) <= hi,
+        one division for every image; only a root's hull check cross-multiplies."""
         ivs = (self.hull, *self.pieces)
         den = lcm(*(e.denominator for iv in ivs for e in (iv.lo, iv.hi)))
         hull, *pieces = [(int(iv.lo * den), int(iv.hi * den)) for iv in ivs]

@@ -13,6 +13,7 @@ from .codings import (
     Cardinality,
     UnreachableTargetError,
     _classify,
+    _limit_hint,
     _Residuals,
     classify_many,
     evaluate,
@@ -85,8 +86,8 @@ def dichotomy_sweep(
     the word one digit shorter by one of ``Ifs.integer_maps``; its value, the
     preperiod's map at the period's fixed point, goes as a reduced integer pair
     straight into one residual table, with no Fraction built. Returns tallies of
-    the verdicts plus any that break the power-of-two dichotomy (a finite count
-    that is not a power of two, or a countable verdict).
+    the verdicts, the limits behind unknown ones, and any that break the
+    power-of-two dichotomy (a finite count not a power of two, or countable).
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -116,7 +117,8 @@ def dichotomy_sweep(
     tally = {"finite": 0, "countable": 0, "continuum": 0, "unknown": 0}
     finite_counts: set[int] = set()
     violations: list[str] = []
-    for (pre, per), verdict in zip(words, _classify(res)):
+    verdicts = _classify(res)
+    for (pre, per), verdict in zip(words, verdicts):
         tally[verdict.kind] += 1
         if verdict.kind == "finite":
             finite_counts.add(verdict.count)
@@ -124,11 +126,13 @@ def dichotomy_sweep(
                 violations.append(f"w={pre};p={per} -> finite({verdict.count})")
         elif verdict.kind == "countable":
             violations.append(f"w={pre};p={per} -> countable")
+    limits = {v.limit for v in verdicts if v.kind == "unknown"} if tally["unknown"] else ()
     return {
         "classified": len(words),
         "tally": tally,
         "finite_counts": sorted(finite_counts),
         "violations": violations,
+        "limits": sorted(limits),
     }
 
 
@@ -211,12 +215,15 @@ def run_theorem_harness(
             check(Cardinality.finite(k), unreachable=True)
         check(Cardinality.countable(), unreachable=True)
         sweep = dichotomy_sweep(ifs, cap=sweep_cap, max_nodes=max_nodes, max_depth=max_depth)
-        ok = not sweep["violations"]
+        ok = not sweep["violations"] and not sweep["limits"]
         detail = (
             f"{sweep['classified']} points: {sweep['tally']}, "
             f"finite counts {sweep['finite_counts']}"
         )
-        if not ok:
+        if sweep["limits"]:
+            hits = " and ".join(_limit_hint(limit, max_nodes, max_depth) for limit in sweep["limits"])
+            detail += f"; {sweep['tally']['unknown']} points undecided: they {hits}"
+        if sweep["violations"]:
             detail += f"; violations: {sweep['violations'][:5]}"
         checks.append(CheckResult("power-of-two dichotomy sweep", ok, detail))
 

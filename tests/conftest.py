@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from overlapifs import AffineMap, Ifs, evaluate, validate
+from overlapifs import AffineMap, Ifs, validate
 from overlapifs.scc import strongly_connected_components
 
 DATA = Path(__file__).parent / "data"
@@ -198,22 +198,28 @@ def mpmath_dimension(counts, ratios, digits: int = 40):
 
 
 def sweep_words(ifs: Ifs, max_preperiod: int = 4, max_period: int = 3, cap: int = 5000) -> dict:
-    """The points of ``dichotomy_sweep``, built one word at a time with ``evaluate``.
+    """The points of ``dichotomy_sweep``, one word at a time in Fractions.
 
     Maps each distinct value to its first word (preperiod, period), in the
     sweep's order and up to its cap (none at 0; a negative cap raises
-    ValueError): the slow reference for the sweep's batch of values.
+    ValueError): the slow reference for the sweep's batch of values. Each
+    period's fixed point and each preperiod's composed map are taken once,
+    with ``Ifs.compose_word``, and a word's value is its preperiod's map at
+    its period's fixed point, as ``evaluate`` gives it.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     digits = range(1, ifs.m + 1)
     pres = [w for n in range(max_preperiod + 1) for w in product(digits, repeat=n)]
     pers = [w for n in range(1, max_period + 1) for w in product(digits, repeat=n)]
+    fixed = [(per, ifs.compose_word(per).fixed_point()) for per in pers]
     words: dict = {}
-    for pre, per in product(pres, pers):
-        if len(words) >= cap:
-            break
-        words.setdefault(evaluate(ifs, pre, per), (pre, per))
+    for pre in pres:
+        head = ifs.compose_word(pre) if pre else (lambda x: x)
+        for per, x in fixed:
+            if len(words) >= cap:
+                return words
+            words.setdefault(head(x), (pre, per))
     return words
 
 

@@ -383,7 +383,7 @@ class TestClassifyMany:
         pair = w.value.numerator, w.value.denominator
         res = overlapifs.codings._Residuals(ifs, [pair], DEFAULT_MAX_NODES, DEFAULT_MAX_DEPTH)
         assert res.expand(DEFAULT_MAX_DEPTH)
-        assert _facts(res.succ, DEFAULT_MAX_DEPTH)[2][0] > DEFAULT_MAX_DEPTH
+        assert _facts(res.succ, DEFAULT_MAX_DEPTH, 1)[2][0] > DEFAULT_MAX_DEPTH
 
     def test_empty_batch(self, quad):
         assert classify_many(quad, []) == []
@@ -505,9 +505,9 @@ class TestGraphView:
     def test_one_tarjan_pass_per_graph(self, quad, monkeypatch):
         calls = []
 
-        def counted(succ, bound):
+        def counted(succ, bound, roots):
             calls.append(len(succ))
-            return _facts(succ, bound)
+            return _facts(succ, bound, roots)
 
         monkeypatch.setattr(overlapifs.codings, "_facts", counted)
         g = build_residual_graph(quad, F(109, 625))
@@ -544,24 +544,36 @@ class TestFacts:
 
     def test_matches_two_pass_reference(self):
         # unexpanded nodes (None), dead ends (()), duplicate successors and
-        # self-loops all occur among these graphs. In the second half most
-        # successors have lower ids, so most tops find all their successors
-        # decided and close at once, unless one of them is the top itself;
-        # such tops also get duplicate successors and unexpanded ones.
+        # self-loops all occur among these graphs. In the first 4,000
+        # successors are any ids. In the next 4,000 most have lower ids, so
+        # most tops find all their successors decided and close at once, unless
+        # one of them is the top itself; such tops also get duplicate
+        # successors and unexpanded ones. The last 4,000 are numbered
+        # breadth-first, as expansion interns ids: most successors have higher
+        # ids, with some back edges. Each graph is decided with no root, one,
+        # some and all, as the visit order changes with the root count.
         rng = random.Random(20)
-        for trial in range(8000):
+        for trial in range(12000):
             n = rng.randint(1, 12)
             succ = []
             for y in range(n):
                 r = rng.random()
-                if trial < 4000 or not y:
+                if trial < 4000 or (not y and trial < 8000):
                     out = tuple(rng.randrange(n) for _ in range(rng.randint(1, 2)))
-                else:
+                elif trial < 8000:
                     out = tuple(rng.randrange(y) for _ in range(rng.randint(1, 2)))
                     out += (y,) * (rng.random() < 0.2) + out[:1] * (rng.random() < 0.2)
+                else:
+                    out = tuple(
+                        rng.randrange(y + 1, n) if y + 1 < n and rng.random() < 0.8
+                        else rng.randrange(n) for _ in range(rng.randint(1, 2))
+                    )
+                    out += (y,) * (rng.random() < 0.1) + out[:1] * (rng.random() < 0.1)
                 succ.append(None if r < 0.1 else () if r < 0.2 else out)
             bound = rng.randint(1, 15)
-            assert _facts(succ, bound) == reference_facts(succ, bound), (succ, bound)
+            expected = reference_facts(succ, bound)
+            for roots in {0, 1, rng.randint(0, n), n}:
+                assert _facts(succ, bound, roots) == expected, (succ, bound, roots)
 
 
 class TestBigDenominators:

@@ -63,6 +63,37 @@ class TestTheoremTwo:
         result = run_theorem_harness(quad, quad_report, 2)
         assert not result.applicable
 
+    @pytest.mark.parametrize(
+        "limits,unknown",
+        [({"max_nodes": 1}, 4996), ({"max_depth": 3}, 4859)],
+        ids=["max_nodes", "max_depth"],
+    )
+    def test_sweep_fails_on_undecided_points(self, noend, noend_report, limits, unknown):
+        # no sampled verdict breaks the dichotomy, but most are unknown: the
+        # check fails and names the limit, its value and its flag
+        result = run_theorem_harness(noend, noend_report, 2, power_upto=0, **limits)
+        check = next(c for c in result.checks if c.name == "power-of-two dichotomy sweep")
+        assert not check.passed and not result.passed
+        assert f"'unknown': {unknown}}}" in check.detail
+        ((limit, value),) = limits.items()
+        flag = limit.replace("_", "-")
+        assert check.detail.endswith(
+            f"; {unknown} points undecided: they hit {limit}={value}; raise it with --{flag}"
+        )
+
+    def test_sweep_names_each_limit_hit(self, noend, noend_report):
+        sweep = dichotomy_sweep(noend, cap=400, max_nodes=3, max_depth=2)
+        assert sweep["limits"] == ["max_depth", "max_nodes"]
+        result = run_theorem_harness(
+            noend, noend_report, 2, power_upto=0, sweep_cap=400, max_nodes=3, max_depth=2
+        )
+        check = next(c for c in result.checks if c.name == "power-of-two dichotomy sweep")
+        assert not check.passed
+        assert check.detail.endswith(
+            "they hit max_depth=2; raise it with --max-depth "
+            "and hit max_nodes=3; raise it with --max-nodes"
+        )
+
 
 class TestTheoremThree:
     def test_quad(self, quad, quad_report):
@@ -148,7 +179,7 @@ class TestSweep:
         assert sweep["tally"] == {"finite": 0, "countable": 0, "continuum": 0, "unknown": 0}
         result = run_theorem_harness(noend, noend_report, 2, power_upto=0, sweep_cap=0)
         check = next(c for c in result.checks if c.name == "power-of-two dichotomy sweep")
-        assert check.detail.startswith("0 points")
+        assert check.passed and check.detail.startswith("0 points")
 
     @pytest.mark.parametrize("cap", [-1, -5])
     def test_negative_cap_raises(self, noend, cap):
@@ -243,7 +274,7 @@ class TestCanonicalWords:
     words, tallies and violations equal those of the unfiltered words of
     ``sweep_words``, each value classified on its own."""
 
-    LIMIT = 1500  # values taken from sweep_words, to keep the slow reference quick
+    LIMIT = 4000  # values taken from sweep_words, to keep the reference quick
 
     @staticmethod
     def expected(words: dict, verdicts: list) -> dict:
@@ -257,8 +288,9 @@ class TestCanonicalWords:
                 counts.add(verdict.count)
                 if verdict.count & (verdict.count - 1):
                     violations.append(f"w={pre};p={per} -> finite({verdict.count})")
+        limits = sorted({v.limit for v in verdicts if v.kind == "unknown"})
         return {"classified": len(words), "tally": tally, "finite_counts": sorted(counts),
-                "violations": violations}
+                "violations": violations, "limits": limits}
 
     # each bound reaches periods that are powers (1,1) and preperiods ending in
     # the period's last digit, so both rules drop words
@@ -296,8 +328,8 @@ class TestCanonicalWords:
     def test_root_with_no_path_raises(self, noend, monkeypatch):
         facts = overlapifs.codings._facts
 
-        def dead_first_root(succ, bound):
-            flag, walks, size = facts(succ, bound)
+        def dead_first_root(succ, bound, roots):
+            flag, walks, size = facts(succ, bound, roots)
             flag[0] = walks[0] = 0
             return flag, walks, size
 
