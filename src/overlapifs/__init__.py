@@ -18,8 +18,8 @@ _EXPORTS = {
     "codings": (
         "Cardinality", "PointNotInAttractorError", "ResidualGraph", "SymbolicPoint",
         "UnreachableTargetError", "WitnessVerificationError", "build_residual_graph",
-        "classify_cardinality", "classify_many", "classify_point", "enumerate_codings",
-        "evaluate", "make_witness", "symbolic_point",
+        "classify_cardinality", "classify_many", "enumerate_codings", "evaluate",
+        "make_witness", "symbolic_point",
     ),
     "dimension": (
         "CoverViolationError", "DimensionResult", "EmptyGraphError", "EmptyReducedSystemError",

@@ -5,8 +5,8 @@ For an exact rational x the possible first digits are the maps whose hull
 image contains x, and stripping a digit replaces x by the exact inverse
 image. Closing that step over all admissible digits yields a finite directed
 graph whose infinite paths are exactly the codings of x, which reduces the
-counting questions to graph structure. One Tarjan pass decides a point or a
-batch, and a point walks within the limits only when it might hit one.
+counting questions to graph structure. One step decides a point or a batch:
+one Tarjan pass, and a walk within the limits only for a root that might hit one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, Sequence
 
-from .exact import _Value, _setattr
+from .exact import _Value
 from .system import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, Ifs, InternalError, ValidationReport, end_case
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "build_residual_graph",
     "classify_cardinality",
     "classify_many",
-    "classify_point",
     "enumerate_codings",
     "evaluate",
     "make_witness",
@@ -108,6 +107,11 @@ def symbolic_point(ifs: Ifs, preperiod: Sequence[int], period: Sequence[int]) ->
     return SymbolicPoint(tuple(preperiod), tuple(period), value)
 
 
+def check_limits(max_nodes: int, max_depth: int) -> None:
+    if max_nodes < 1 or max_depth < 1:
+        raise ValueError("max_nodes and max_depth must be >= 1")
+
+
 class _Residuals:
     """Residuals of one system, each interned once as an id 0, 1, 2, ...
 
@@ -122,8 +126,7 @@ class _Residuals:
     """
 
     def __init__(self, ifs: Ifs, roots: Sequence[tuple[int, int]], max_nodes: int, max_depth: int):
-        if max_nodes < 1 or max_depth < 1:
-            raise ValueError("max_nodes and max_depth must be >= 1")
+        check_limits(max_nodes, max_depth)
         self.den, self.hull, pieces = ifs.bounds
         self.rows = [(d, *iv, *f) for d, (iv, f) in enumerate(zip(pieces, ifs.integer_maps), 1)]
         self.ifs, self.max_nodes, self.max_depth = ifs, max_nodes, max_depth
@@ -212,17 +215,20 @@ class _Residuals:
 class ResidualGraph(_Value):
     """Closure of a point under digit-stripping: a view of its residuals.
 
-    ``limit_hit`` names the limit that left an id reachable from ``root_id``
-    unexpanded, None exactly when ``exhausted``. On first read the root walks
-    within the limits for ``depth`` (each id reached, with its depth) and
-    ``expanded`` (the ids it expanded, in order), and ``adjacency`` (each
-    expanded node's digit-labelled inverse images) and ``unexpanded`` are
-    built; the verdict ``facts`` are taken once per graph. Out-degree <= 2.
+    ``flag``, ``walks`` and ``walk`` are ``_decide``'s facts of every id and
+    the root's walk within the limits, None when the graph closed. Read off
+    the walk, ``limit_hit`` names the limit that left an id unexpanded, None
+    exactly when ``exhausted``; ``depth`` (each id reached, with its depth)
+    and ``expanded`` (the ids expanded, in order) are the walk's, and a closed
+    graph walks once when they are first read. ``adjacency`` (each expanded
+    node's digit-labelled inverse images, at most two) and ``unexpanded`` follow from them.
     """
 
     residuals: _Residuals
     root_id: int
-    limit_hit: str | None
+    flag: bytearray
+    walks: list[int]
+    walk: tuple[dict[int, int], list[int], str | None] | None
 
     __eq__ = object.__eq__  # identity: each graph is its own walk
     __hash__ = object.__hash__
@@ -231,13 +237,15 @@ class ResidualGraph(_Value):
     def root(self) -> Fraction:
         return self.residuals.value(self.root_id)
 
+    limit_hit = property(lambda self: self.walk[2] if self.walk else None)
+
     @property
     def exhausted(self) -> bool:
         return self.limit_hit is None
 
     @cached_property
     def _walk(self) -> tuple[dict[int, int], list[int], str | None]:
-        return self.residuals.walk(self.root_id)
+        return self.walk or self.residuals.walk(self.root_id)
 
     depth = property(lambda self: self._walk[0])
     expanded = property(lambda self: self._walk[1])
@@ -251,11 +259,6 @@ class ResidualGraph(_Value):
     def unexpanded(self) -> frozenset[Fraction]:
         return frozenset(map(self.residuals.value, self.depth.keys() - self.expanded))
 
-    @cached_property
-    def facts(self) -> tuple[bytearray, list[int], list[int]]:
-        res = self.residuals
-        return _facts(res.succ, min(res.max_nodes, res.max_depth), len(res.roots))
-
 
 def build_residual_graph(
     ifs: Ifs,
@@ -267,13 +270,13 @@ def build_residual_graph(
 
     Dead ends (no admissible digit) stay in the graph; pruning them is the
     classifier's job. Limits never raise, they only mark the graph as not
-    exhausted. Expanding while at most min(max_nodes, max_depth) ids are
-    interned either closes the graph, and then no limit can be hit (see
-    ``_Residuals.walk``), or the root walks within the limits.
+    exhausted. The graph is ``_decide`` on a batch of one: expanding while
+    at most min(max_nodes, max_depth) ids are interned either closes the
+    graph, and then no limit can be hit, or the root walks within the limits.
     """
     res = _Residuals(ifs, [(x.numerator, x.denominator)], max_nodes, max_depth)
-    closed = res.expand(min(max_nodes, max_depth))
-    return ResidualGraph(res, res.roots[0], None if closed else res.walk(res.roots[0])[2])
+    flag, walks, ran = _decide(res)
+    return ResidualGraph(res, res.roots[0], flag, walks, ran.get(res.roots[0]))
 
 
 class Cardinality(_Value):
@@ -286,38 +289,33 @@ class Cardinality(_Value):
     """
 
     kind: str
-    count: int | None
-    limit: str | None
-
-    def __init__(self, kind: str, count: int | None = None, limit: str | None = None) -> None:
-        _setattr(self, "kind", kind)
-        _setattr(self, "count", count)
-        _setattr(self, "limit", limit)
+    count: int | None = None
+    limit: str | None = None
 
     @classmethod
     def finite(cls, k: int) -> Cardinality:
         if k < 1:
             raise ValueError("finite coding count must be >= 1")
-        return cls("finite", count=k)
+        return cls("finite", k, None)
 
     @classmethod
     def countable(cls) -> Cardinality:
-        return cls("countable")
+        return cls("countable", None, None)
 
     @classmethod
     def continuum(cls) -> Cardinality:
-        return cls("continuum")
+        return cls("continuum", None, None)
 
     @classmethod
     def unknown(cls, limit: str | None) -> Cardinality:
-        return cls("unknown", limit=limit)
+        return cls("unknown", None, limit)
 
     @classmethod
     def parse(cls, text: str) -> Cardinality:
         """Read a target: ``finite:<k>`` with k >= 1, ``aleph0`` or ``continuum``."""
         text = text.strip()
         if text in ("aleph0", "continuum"):
-            return cls("countable" if text == "aleph0" else text)
+            return cls("countable" if text == "aleph0" else text, None, None)
         if text.startswith("finite:"):
             try:
                 return cls.finite(int(text[len("finite:"):]))
@@ -450,7 +448,7 @@ def classify_cardinality(graph: ResidualGraph) -> Cardinality:
     """
     if not graph.exhausted:
         return Cardinality.unknown(graph.limit_hit)
-    return _verdict(graph.residuals, *graph.facts[:2], graph.root_id)
+    return _verdict(graph.residuals, graph.flag, graph.walks, graph.root_id)
 
 
 def classify_many(
@@ -461,46 +459,44 @@ def classify_many(
 ) -> list[Cardinality]:
     """Classify a batch of points over one shared residual graph.
 
-    Each verdict (or PointNotInAttractorError) is that of
-    ``classify_cardinality(build_residual_graph(...))`` with the same limits.
+    Each verdict (or PointNotInAttractorError) is that of the same step on a
+    batch of one, ``classify_cardinality(build_residual_graph(...))``.
     """
     res = _Residuals(ifs, [(x.numerator, x.denominator) for x in values], max_nodes, max_depth)
     verdicts = _classify(res)
     return [verdicts[root] for root in res.roots]
 
 
-def _classify(res: _Residuals) -> list[Cardinality]:
-    """The verdicts of roots 0..k-1, the ids interned so far, one object per distinct
-    verdict. One pass expands all they reach, up to ``max_nodes`` ids per root, and one
-    Tarjan pass decides them. A root walks (``_Residuals.walk``) only if its size bound
-    and the ids interned both exceed min(max_nodes, max_depth), the most it could reach;
-    if the pass stopped at its cap, the facts are taken again after."""
+def _decide(res: _Residuals) -> tuple[bytearray, list[int], dict[int, tuple]]:
+    """The ``flag`` and ``walks`` facts of every id, and the walks run, by root, for roots
+    0..k-1, the ids interned so far. One pass expands all they reach while at most
+    L = min(max_nodes, max_depth) ids per root are interned, and one Tarjan pass decides
+    them. Only a root whose size bound and the whole table both exceed L walks (a root that
+    reaches an unexpanded id has size L+1); a capped pass retakes the facts after the walks."""
     k = len(res.pairs)
-    complete = res.expand(res.max_nodes * k)
     bound = min(res.max_nodes, res.max_depth)
+    complete = res.expand(bound * k)
     flag, walks, size = _facts(res.succ, bound, k)
-    limits = {r: res.walk(r)[2] for r in range(k) if size[r] > bound} if len(res.pairs) > bound else {}
+    ran = {r: res.walk(r) for r in range(k) if size[r] > bound} if len(res.pairs) > bound else {}
     if not complete:
         flag, walks, _ = _facts(res.succ, bound, k)
+    return flag, walks, ran
+
+
+def _classify(res: _Residuals) -> list[Cardinality]:
+    """The verdicts of roots 0..k-1, the ids interned so far, from one ``_decide``
+    step: one object per distinct verdict, unknown for a root whose walk hit a limit."""
+    k = len(res.pairs)
+    flag, walks, ran = _decide(res)
     shared: dict[object, Cardinality] = {}
     verdicts = []
     for root in range(k):
-        limit = limits.get(root)
+        limit = ran[root][2] if root in ran else None
         key = limit or (flag[root], walks[root])
         if key not in shared:
             shared[key] = Cardinality.unknown(limit) if limit else _verdict(res, flag, walks, root)
         verdicts.append(shared[key])
     return verdicts
-
-
-def classify_point(
-    ifs: Ifs,
-    x: Fraction,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> Cardinality:
-    """Classify the residual graph of x: a one-point ``classify_many``."""
-    return classify_many(ifs, [x], max_nodes, max_depth)[0]
 
 
 def enumerate_codings(
@@ -521,7 +517,7 @@ def enumerate_codings(
         raise ValueError("depth must be >= 1")
     if graph is None:
         graph = build_residual_graph(ifs, x, max_nodes, max_depth)
-    walks, res = graph.facts[1], graph.residuals
+    walks, res = graph.walks, graph.residuals
     frontier = graph.depth.keys() - graph.expanded if graph.limit_hit else ()
 
     words: list[tuple[int, ...]] = []

@@ -15,6 +15,7 @@ from .codings import (
     _classify,
     _limit_hint,
     _Residuals,
+    check_limits,
     classify_many,
     evaluate,
     make_witness,
@@ -173,6 +174,7 @@ def run_theorem_harness(
     continuum-coding set to the attractor dimension on any member.
     """
     check_tol(tol)
+    check_limits(max_nodes, max_depth)
     if not report.member:
         raise ValueError("harness needs a validated member system")
     limits = {"max_nodes": max_nodes, "max_depth": max_depth}

@@ -234,6 +234,7 @@ class TestClassifyGolden:
             ("uneven", "finite", "w=1,3,3,2;p=1", [], 0),
             ("uneven", "countable", "w=1,3,3;p=2", [], 0),
             ("uneven", "unknown", "w=;p=1,3,3", ["--max-nodes", "2"], 2),
+            ("quad", "depth3", "w=;p=1,4", ["--max-depth", "3"], 0),
         ],
     )
     def test_report_bytes(self, data_dir, tmp_path, system, label, point, flags, exit_code):
@@ -368,6 +369,16 @@ class TestVerifyCommand:
         code, text = run(["verify", path, "--theorem", theorem, f"--tol={tol}"])
         assert code == 3
         assert "error: tol must be finite and positive" in text
+
+    @pytest.mark.parametrize("system", ["quad", "noend", "uneven"])
+    @pytest.mark.parametrize("theorem", ["1", "2", "3"])
+    @pytest.mark.parametrize("limit", ["--max-nodes", "--max-depth"])
+    def test_zero_limit_exits_three(self, data_dir, system, theorem, limit):
+        # checked before the applicability test and every witness check
+        argv = ["verify", str(data_dir / f"{system}.ifs"), "--theorem", theorem, limit, "0"]
+        code, text = run(argv)
+        assert code == 3
+        assert text == "error: max_nodes and max_depth must be >= 1\n"
 
 
 class TestCheckedInSystems:

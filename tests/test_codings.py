@@ -33,7 +33,6 @@ from overlapifs import (
     build_residual_graph,
     classify_cardinality,
     classify_many,
-    classify_point,
     enumerate_codings,
     evaluate,
     make_witness,
@@ -236,10 +235,10 @@ class TestResidualGraph:
 
 class TestClassify:
     def test_quad_spectrum(self, quad):
-        assert classify_point(quad, F(1)) == Cardinality.finite(1)
-        assert classify_point(quad, F(1, 5)) == Cardinality.countable()
-        assert classify_point(quad, F(1, 6)) == Cardinality.continuum()
-        assert classify_point(quad, F(109, 625)) == Cardinality.finite(2)
+        assert classify_many(quad, [F(1)]) == [Cardinality.finite(1)]
+        assert classify_many(quad, [F(1, 5)]) == [Cardinality.countable()]
+        assert classify_many(quad, [F(1, 6)]) == [Cardinality.continuum()]
+        assert classify_many(quad, [F(109, 625)]) == [Cardinality.finite(2)]
 
     def test_unknown_when_limited(self, quad):
         g = build_residual_graph(quad, F(1, 6), max_nodes=2)
@@ -254,13 +253,13 @@ class TestClassify:
 
     def test_dead_branch_is_pruned_not_fatal(self, quad):
         # 9/25 is the right endpoint of piece 2: one branch dies, one survives
-        verdict = classify_point(quad, F(9, 25))
+        (verdict,) = classify_many(quad, [F(9, 25)])
         assert verdict == Cardinality.finite(1)
 
     def test_noend_powers_of_two(self, noend, noend_report):
         for s in range(4):
             w = make_witness(noend, noend_report, Cardinality.finite(2**s))
-            assert classify_point(noend, w.value) == Cardinality.finite(2**s)
+            assert classify_many(noend, [w.value]) == [Cardinality.finite(2**s)]
 
 
 def per_point(ifs, xs, **limits):
@@ -515,6 +514,22 @@ class TestGraphView:
         assert enumerate_codings(quad, g.root, 4, graph=g)
         assert calls == [len(g.residuals.pairs)]
 
+    @pytest.mark.parametrize(
+        "limits,limit_hit", [({"max_nodes": 2}, "max_nodes"), ({"max_depth": 3}, None)]
+    )
+    def test_unclosed_graph_walks_once(self, quad, monkeypatch, limits, limit_hit):
+        # 1/6 reaches four residuals, more than either limit lets expansion
+        # close: the graph's one step walks the root, and every later read
+        # (verdict, prefixes and each view) takes that walk
+        walks = spy(monkeypatch, "walk")
+        g = build_residual_graph(quad, F(1, 6), **limits)
+        assert (g.limit_hit, g.exhausted) == (limit_hit, limit_hit is None)
+        verdict = classify_cardinality(g)
+        assert verdict == (Cardinality.continuum() if g.exhausted else Cardinality.unknown(limit_hit))
+        enumerate_codings(quad, g.root, 4, graph=g)
+        assert len(g.depth) == len(g.adjacency) + len(g.unexpanded)
+        assert walks == [(g.depth, g.expanded, limit_hit)]
+
     def test_closed_graphs_walk_no_root(self, quad, uneven, monkeypatch):
         # a long word reaches a few dozen residuals, fewer than
         # min(max_nodes, max_depth): expansion closes its graph, so no limit
@@ -535,7 +550,7 @@ class TestGraphView:
             g = build_residual_graph(ifs, x)
             assert g.exhausted
             verdict = classify_cardinality(g)
-            assert classify_point(ifs, x) == verdict
+            assert classify_many(ifs, [x]) == [verdict]
             assert enumerate_codings(ifs, x, 4, graph=g) == enumerate_codings(ifs, x, 4)
 
 
@@ -735,7 +750,7 @@ class TestWitnesses:
     def test_uneven_left_overlap_recipe(self, uneven, uneven_report):
         for k in (1, 2, 3):
             w = make_witness(uneven, uneven_report, Cardinality.finite(k))
-            assert classify_point(uneven, w.value) == Cardinality.finite(k)
+            assert classify_many(uneven, [w.value]) == [Cardinality.finite(k)]
         w = make_witness(uneven, uneven_report, Cardinality.countable())
         assert w.value == F(1, 9)
 
