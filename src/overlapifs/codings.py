@@ -476,10 +476,10 @@ def _decide(res: _Residuals) -> tuple[bytearray, list[int], dict[int, tuple]]:
     k = len(res.pairs)
     bound = min(res.max_nodes, res.max_depth)
     complete = res.expand(bound * k)
-    flag, walks, size = _facts(res.succ, bound, k)
-    ran = {r: res.walk(r) for r in range(k) if size[r] > bound} if len(res.pairs) > bound else {}
-    if not complete:
-        flag, walks, _ = _facts(res.succ, bound, k)
+    # A capped single root reaches an unexpanded id, so its size is L+1 and it walks unasked.
+    first = _facts(res.succ, bound, k) if k > 1 or complete else (None, None, [bound + 1])
+    ran = {r: res.walk(r) for r in range(k) if first[2][r] > bound} if len(res.pairs) > bound else {}
+    flag, walks, _ = first if complete else _facts(res.succ, bound, k)
     return flag, walks, ran
 
 

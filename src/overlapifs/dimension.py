@@ -14,7 +14,7 @@ import math
 import operator
 from decimal import Context
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 from .exact import Interval, _Value, format_rational
 from .system import DEFAULT_TOL, Ifs, InternalError, ValidationReport
@@ -80,6 +80,26 @@ class Partition(_Value):
         return tuple(i for i in range(1, self.gamma) if i not in admissible)
 
 
+def _cut_index(points: Collection[Fraction]) -> tuple[int, dict[int, int]]:
+    """``(den, index)``: the cut points, none given twice, as numerators over their
+    least common denominator, each mapped to its index in increasing order."""
+    den = math.lcm(*(p.denominator for p in points))
+    scaled = sorted(p.numerator * (den // p.denominator) for p in points)
+    return den, {n: i for i, n in enumerate(scaled)}
+
+
+def _at(index: dict[int, int], num: int, div: int) -> int | None:
+    """The index of the cut point num / div over the index's denominator, None when it is none."""
+    n, r = divmod(num, div)
+    return None if r else index.get(n)
+
+
+def _spans(intervals: Iterable[Interval], den: int, index: dict[int, int]) -> list[tuple]:
+    """Each interval as the indices of its two ends, None for an end that is no cut point."""
+    ends = [_at(index, e.numerator * den, e.denominator) for iv in intervals for e in (iv.lo, iv.hi)]
+    return list(zip(ends[::2], ends[1::2]))
+
+
 def build_partition(ifs: Ifs, report: ValidationReport) -> Partition:
     """Cut points of a validated member system.
 
@@ -88,58 +108,56 @@ def build_partition(ifs: Ifs, report: ValidationReport) -> Partition:
     the maximal left tail length) and of the left hull endpoint under the
     last map (up to the maximal right tail length). The expected count, the
     preimage closure of admissible pairs and the switch cells are hard checks.
+    They run on the cut points' integer index (``_cut_index``): pair i lies in
+    hull image d when lo_d < i <= hi_d, the indices of the image's ends, and a
+    preimage through ``Ifs.integer_maps`` must divide exactly onto an index.
     """
     if not report.member:
         raise ValueError("partition is only defined for members")
     assert report.u_max is not None and report.v_max is not None
-    a, b = ifs.hull.lo, ifs.hull.hi
     first, last = ifs.maps[0], ifs.maps[-1]
 
-    points: set[Fraction] = set()
-    for d in range(1, ifs.m + 1):
-        piece = ifs.piece(d)
-        points.add(piece.lo)
-        points.add(piece.hi)
-    t = b
+    points = {end for piece in ifs.pieces for end in (piece.lo, piece.hi)}
+    t = ifs.hull.hi
     for _ in range(report.v_max):
         t = first(t)
         points.add(t)
-    t = a
+    t = ifs.hull.lo
     for _ in range(report.u_max):
         t = last(t)
         points.add(t)
 
-    ordered = tuple(sorted(points))
+    den, index = _cut_index(points)
     expected = 2 * ifs.m + report.u_max + report.v_max - 2
-    if len(ordered) != expected:
+    if len(index) != expected:
         raise PartitionInvariantError(
-            f"expected {expected} cut points, deduplication left {len(ordered)}"
+            f"expected {expected} cut points, deduplication left {len(index)}"
         )
+    ordered = tuple(sorted(points, key=lambda p: p.numerator * (den // p.denominator)))
+    nums, spans = list(index), _spans(ifs.pieces, den, index)
 
     cells: list[tuple[int, int]] = []
     for i in range(1, len(ordered)):
-        cell = Interval(ordered[i - 1], ordered[i])
-        for d in range(1, ifs.m + 1):
-            if ifs.piece(d).contains_interval(cell):
+        for d, (lo, hi) in enumerate(spans, 1):
+            if lo < i <= hi:
                 cells.append((i, d))
                 break
 
-    point_set = set(ordered)
     for i, d in cells:
-        g = ifs.map(d)
-        for endpoint in (ordered[i - 1], ordered[i]):
-            pre = g.invert(endpoint)
-            if pre not in point_set:
+        a, b, c = ifs.integer_maps[d - 1]
+        for end in (i - 1, i):
+            if _at(index, pre := c * nums[end] - b * den, a) is None:
                 raise PartitionInvariantError(
-                    f"preimage {format_rational(pre)} of cut point "
-                    f"{format_rational(endpoint)} under map {d} is not a cut point"
+                    f"preimage {format_rational(Fraction(pre, a * den))} of cut point "
+                    f"{format_rational(ordered[end])} under map {d} is not a cut point"
                 )
 
-    pair_of = {Interval(ordered[i - 1], ordered[i]): i for i, _ in cells}
-    switches = tuple(pair_of.get(spec.overlap) for spec in report.overlaps)
+    digits = dict(cells)
+    overlaps = _spans((spec.overlap for spec in report.overlaps), den, index)
+    switches = tuple(hi if hi in digits and lo == hi - 1 else None for lo, hi in overlaps)
     if None in switches:
         raise PartitionInvariantError("an overlap interval is not one admissible cell")
-    return Partition(points=ordered, cells=tuple(cells), switches=switches)
+    return Partition(ordered, tuple(cells), switches)
 
 
 class Vertex(_Value):
@@ -152,10 +170,11 @@ class Vertex(_Value):
 
 
 class GraphDirectedSystem(_Value):
-    """Vertices (admissible cells) and 0/1 edge counts between them.
+    """Vertices (admissible cells) and 0/1 edge counts between them; the exact
+    tests of ``solve_dimension`` run on ``_lumped``'s merge, whose counts may exceed 1.
 
-    counts[p][q] = 1 when expanding vertex p's cell by its covering map's
-    inverse yields a window containing vertex q's cell.
+    counts[p][q] = 1 when p's covering map takes p's cell back onto a window whose
+    ends are the cut points j and k, with j < i_q <= k for the pair index i_q of q.
     """
 
     vertices: tuple[Vertex, ...]
@@ -169,59 +188,51 @@ class GraphDirectedSystem(_Value):
         return sum(sum(row) for row in self.counts)
 
 
-def _merged(intervals: Sequence[Interval]) -> list[Interval]:
-    """Union of closed intervals as a sorted list of maximal pieces."""
-    pieces = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
-    out: list[Interval] = []
-    for iv in pieces:
-        if out and iv.lo <= out[-1].hi:
-            if iv.hi > out[-1].hi:
-                out[-1] = Interval(out[-1].lo, iv.hi)
-        else:
-            out.append(iv)
-    return out
-
-
 def build_graph(ifs: Ifs, part: Partition) -> GraphDirectedSystem:
     """Edge structure over the admissible cells.
 
     Each vertex p gets an edge to exactly the admissible cells contained in
     the inverse image of p's cell under p's covering map. Two structural
-    facts are verified along the way: the admissible cells cover exactly the
-    union of the hull images, and no non-admissible gap meets a hull image
-    in more than endpoints.
+    facts are verified along the way: no non-admissible gap meets a hull
+    image in more than endpoints, and the admissible cells cover exactly the
+    union of the hull images. Both compare index spans of the cut points
+    (``_cut_index``), and the inverse image of the cell of pair i is the
+    window between cut points j and k, so row p has a 1 for each cell i_q
+    with j < i_q <= k. A hull image or window that does not end at cut
+    points is an error.
     """
-    vertices = tuple(
-        Vertex(
-            pair_index=i,
-            cell=part.pair_interval(i),
-            digit=d,
-            ratio=ifs.map(d).ratio,
-        )
-        for i, d in part.cells
-    )
-
-    cell_union = _merged([v.cell for v in vertices])
-    piece_union = _merged([ifs.piece(d) for d in range(1, ifs.m + 1)])
-    if cell_union != piece_union:
+    den, index = _cut_index(part.points)
+    spans, gaps = _spans(ifs.pieces, den, index), part.gap_pairs()
+    for d, (lo, hi) in enumerate(spans, 1):
+        if lo is None or hi is None:
+            raise CoverViolationError(
+                "admissible cells do not cover the union of hull images: "
+                f"the image {ifs.piece(d)} of map {d} does not end at cut points"
+            )
+        for i in gaps:
+            if lo < i <= hi:
+                raise CoverViolationError(
+                    f"gap {part.pair_interval(i)} meets the image of map {d} beyond endpoints"
+                )
+    outside = [i for i, _ in part.cells if not any(lo < i <= hi for lo, hi in spans)]
+    if outside:
         raise CoverViolationError(
             "admissible cells do not cover the union of hull images: "
-            f"{[str(iv) for iv in cell_union]} vs {[str(iv) for iv in piece_union]}"
+            f"{[str(part.pair_interval(i)) for i in outside]} lie outside it"
         )
-    for i in part.gap_pairs():
-        gap = part.pair_interval(i)
-        for d in range(1, ifs.m + 1):
-            if ifs.piece(d).interior_overlaps(gap):
-                raise CoverViolationError(
-                    f"gap {gap} meets the image of map {d} beyond endpoints"
-                )
 
-    rows: list[tuple[int, ...]] = []
-    for v in vertices:
-        g = ifs.map(v.digit)
-        window = Interval(g.invert(v.cell.lo), g.invert(v.cell.hi))
-        rows.append(tuple(1 if window.contains_interval(w.cell) else 0 for w in vertices))
-    return GraphDirectedSystem(vertices=vertices, counts=tuple(rows))
+    nums, windows = list(index), []
+    for i, d in part.cells:
+        a, b, c = ifs.integer_maps[d - 1]
+        windows.append([_at(index, c * nums[end] - b * den, a) for end in (i - 1, i)])
+        if None in windows[-1]:
+            raise PartitionInvariantError(
+                f"the inverse image of cell {part.pair_interval(i)} under map {d} "
+                "does not end at cut points"
+            )
+    vertices = tuple(Vertex(i, part.pair_interval(i), d, ifs.map(d).ratio) for i, d in part.cells)
+    counts = tuple(tuple(1 if j < i <= k else 0 for i, _ in part.cells) for j, k in windows)
+    return GraphDirectedSystem(vertices, counts)
 
 
 def check_tol(tol: float) -> None:
@@ -338,7 +349,7 @@ def _float_guess(gds: GraphDirectedSystem, lo: float, hi: float, tol: float) -> 
         s = lo + f_lo * (lo - hi) / (f_hi - f_lo) if f_lo <= 0 < f_hi else mid
         s = min(max(s, lo + tol / 8), hi - tol / 8)
         s = s if lo < s < hi else mid  # tol/8 is below float resolution
-        weighted = [[r**s * c for c in row] for r, row in zip(ratios, gds.counts)]
+        weighted = [[w * c for c in row] for w, row in zip([r**s for r in ratios], gds.counts)]
         f = _minor(weighted, 1.0, operator.truediv)
         if f > 0:
             f_lo /= 2 if moved > 0 else 1
@@ -347,6 +358,22 @@ def _float_guess(gds: GraphDirectedSystem, lo: float, hi: float, tol: float) -> 
             f_hi /= 2 if moved < 0 else 1
             lo, f_lo, moved = s, f, -1
     return (lo + hi) / 2
+
+
+def _lumped(gds: GraphDirectedSystem) -> GraphDirectedSystem:
+    """``gds`` with each class of vertices of equal ratio and equal row merged into its
+    first vertex, again until no two are equal; ``gds`` itself when none are. With L the
+    class indicator, R the class rows and w their weights r**s, the weighted matrix
+    L·diag(w)·R has the nonzero spectrum of diag(w)·R·L at every s: the merged vertices
+    with counts R·L."""
+    while True:
+        classes: dict[tuple, int] = {}
+        of = [classes.setdefault((v.ratio, row), len(classes)) for v, row in zip(gds.vertices, gds.counts)]
+        if len(classes) == gds.size:
+            return gds
+        members = [[q for q, k in enumerate(of) if k == c] for c in range(len(classes))]
+        counts = tuple(tuple(sum(row[q] for q in cols) for cols in members) for _, row in classes)
+        gds = GraphDirectedSystem(tuple(gds.vertices[cols[0]] for cols in members), counts)
 
 
 def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> DimensionResult:
@@ -361,7 +388,8 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
     dyadic grid 16 times finer, and around any midpoint neither decides (s*
     is then within about 10**-P), the ends of that bracket are proved, at
     higher precision if need be; exact bisection goes on from whatever was
-    proved.
+    proved. The exact tests run on ``_lumped(gds)``, which has the same
+    radius at every s; the float search runs on ``gds`` itself.
     """
     check_tol(tol)
     if gds.size == 0:
@@ -369,8 +397,9 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
     if gds.edge_count() == 0:
         raise EmptyGraphError("graph-directed system has no edges")
 
-    ratios = sorted({v.ratio for v in gds.vertices})
-    slots = [ratios.index(v.ratio) for v in gds.vertices]
+    lumped = _lumped(gds)
+    ratios = sorted({v.ratio for v in lumped.vertices})
+    slots = [ratios.index(v.ratio) for v in lumped.vertices]
     width = Fraction(2) ** (math.frexp(tol)[1] - 1)
     digits = GUARD_DIGITS + max(0, math.ceil(-math.log10(tol)))
     bounds = _power_bounds(ratios, digits)
@@ -380,7 +409,7 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
         """-1 when s <= s* is proved, 1 when s > s* is proved, else 0."""
         nonlocal steps
         steps += 1
-        low, high = ([[w[k] * c for c in row] for k, row in zip(slots, gds.counts)] for w in bounds(s))
+        low, high = ([[w[k] * c for c in row] for k, row in zip(slots, lumped.counts)] for w in bounds(s))
         if _below(high, 10**digits):
             return 1
         return 0 if _below(low, 10**digits) else -1
@@ -395,13 +424,14 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
                     bounds = _power_bounds(ratios, digits)
                 lo, hi = (end, hi) if verdict < 0 else (lo, end)
 
-    if _below(gds.counts, 1):
+    if _below(lumped.counts, 1):
         # Acyclic counts: the radius is zero at every exponent.
         return DimensionResult(0.0, (Fraction(0), Fraction(0)), 1)
     # The radius is at least one at s = 0, and at most the largest weighted row sum.
-    lo, hi = Fraction(0), Fraction(1)
-    while max(v.ratio**hi * sum(row) for v, row in zip(gds.vertices, gds.counts)) >= 1:
-        hi *= 2
+    h, rows = 1, list(zip(lumped.vertices, map(sum, lumped.counts)))
+    while any(v.ratio.numerator**h * total >= v.ratio.denominator**h for v, total in rows):
+        h *= 2
+    lo, hi = Fraction(0), Fraction(h)
     if math.isfinite(guess := _float_guess(gds, float(lo), float(hi), tol)):
         narrow(round(Fraction(guess) * 16 / width) * width / 16)
     while hi - lo > width:

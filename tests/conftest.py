@@ -11,7 +11,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from overlapifs import AffineMap, Ifs, validate
+from overlapifs import (
+    AffineMap,
+    CoverViolationError,
+    GraphDirectedSystem,
+    Ifs,
+    Interval,
+    Partition,
+    PartitionInvariantError,
+    Vertex,
+    format_rational,
+    validate,
+)
 from overlapifs.scc import strongly_connected_components
 
 DATA = Path(__file__).parent / "data"
@@ -111,6 +122,20 @@ def random_member(rng: random.Random) -> tuple[Ifs, list[int | None]]:
         plan: list[int | None] = [rng.choice([None, 1, 1, 2, 3]) for _ in range(m - 1)]
         if any(w is None for w in plan) and any(w is not None for w in plan):
             break
+    return equal_ratio_member(rng, ratio, plan), plan
+
+
+def no_end_member(rng: random.Random, m: int) -> Ifs:
+    """Equal-ratio no-end member by ``random_member``'s recipe, with m maps and
+    ratio 1/(m + 4): the two extreme neighbour pairs leave gaps."""
+    while True:
+        plan = [None, *(rng.choice([None, 1, 1, 2, 3]) for _ in range(m - 3)), None]
+        if any(w is not None for w in plan):
+            return equal_ratio_member(rng, F(1, m + 4), plan)
+
+
+def equal_ratio_member(rng: random.Random, ratio: F, plan: list[int | None]) -> Ifs:
+    """The maps of ``random_member``'s recipe for one plan, the gaps drawn from rng."""
     overlap_total = sum(ratio - ratio ** (w + 1) for w in plan if w is not None)
     gap_pairs = [i for i, w in enumerate(plan) if w is None]
     budget = (1 - ratio) - overlap_total - len(gap_pairs) * ratio
@@ -125,7 +150,7 @@ def random_member(rng: random.Random) -> tuple[Ifs, list[int | None]]:
         else:
             offsets.append(offsets[-1] + ratio - ratio ** (w + 1))
     assert offsets[-1] == 1 - ratio
-    return Ifs.from_maps([AffineMap(ratio, b) for b in offsets]), plan
+    return Ifs.from_maps([AffineMap(ratio, b) for b in offsets])
 
 
 def random_unequal_member(rng: random.Random) -> Ifs:
@@ -263,6 +288,84 @@ def reference_facts(succ, bound: int):
             walks[y] = 1 if cyclic or f else w
             size[y] = u
     return flag, walks, size
+
+
+def _merged(intervals) -> list[Interval]:
+    """Union of closed intervals as a sorted list of maximal pieces."""
+    out: list[Interval] = []
+    for iv in sorted(intervals, key=lambda iv: (iv.lo, iv.hi)):
+        if out and iv.lo <= out[-1].hi:
+            if iv.hi > out[-1].hi:
+                out[-1] = Interval(out[-1].lo, iv.hi)
+        else:
+            out.append(iv)
+    return out
+
+
+def reference_partition_graph(ifs: Ifs, report) -> tuple[Partition, GraphDirectedSystem]:
+    """``build_partition`` and ``build_graph`` by exact ``Fraction`` comparisons,
+    inverses and hashes: the slow reference for the integer cut-point index."""
+    a, b = ifs.hull.lo, ifs.hull.hi
+    first, last = ifs.maps[0], ifs.maps[-1]
+    points: set[F] = set()
+    for d in range(1, ifs.m + 1):
+        points.update((ifs.piece(d).lo, ifs.piece(d).hi))
+    t = b
+    for _ in range(report.v_max):
+        t = first(t)
+        points.add(t)
+    t = a
+    for _ in range(report.u_max):
+        t = last(t)
+        points.add(t)
+    ordered = tuple(sorted(points))
+    expected = 2 * ifs.m + report.u_max + report.v_max - 2
+    if len(ordered) != expected:
+        raise PartitionInvariantError(f"expected {expected} cut points, deduplication left {len(ordered)}")
+
+    cells: list[tuple[int, int]] = []
+    for i in range(1, len(ordered)):
+        cell = Interval(ordered[i - 1], ordered[i])
+        for d in range(1, ifs.m + 1):
+            if ifs.piece(d).contains_interval(cell):
+                cells.append((i, d))
+                break
+    for i, d in cells:
+        for endpoint in (ordered[i - 1], ordered[i]):
+            pre = ifs.map(d).invert(endpoint)
+            if pre not in points:
+                raise PartitionInvariantError(
+                    f"preimage {format_rational(pre)} of cut point "
+                    f"{format_rational(endpoint)} under map {d} is not a cut point"
+                )
+    pair_of = {Interval(ordered[i - 1], ordered[i]): i for i, _ in cells}
+    switches = tuple(pair_of.get(spec.overlap) for spec in report.overlaps)
+    if None in switches:
+        raise PartitionInvariantError("an overlap interval is not one admissible cell")
+    part = Partition(points=ordered, cells=tuple(cells), switches=switches)
+
+    vertices = tuple(
+        Vertex(pair_index=i, cell=part.pair_interval(i), digit=d, ratio=ifs.map(d).ratio)
+        for i, d in part.cells
+    )
+    cell_union = _merged([v.cell for v in vertices])
+    piece_union = _merged([ifs.piece(d) for d in range(1, ifs.m + 1)])
+    if cell_union != piece_union:
+        raise CoverViolationError(
+            "admissible cells do not cover the union of hull images: "
+            f"{[str(iv) for iv in cell_union]} vs {[str(iv) for iv in piece_union]}"
+        )
+    for i in part.gap_pairs():
+        gap = part.pair_interval(i)
+        for d in range(1, ifs.m + 1):
+            if ifs.piece(d).interior_overlaps(gap):
+                raise CoverViolationError(f"gap {gap} meets the image of map {d} beyond endpoints")
+    rows: list[tuple[int, ...]] = []
+    for v in vertices:
+        g = ifs.map(v.digit)
+        window = Interval(g.invert(v.cell.lo), g.invert(v.cell.hi))
+        rows.append(tuple(1 if window.contains_interval(w.cell) else 0 for w in vertices))
+    return part, GraphDirectedSystem(vertices=vertices, counts=tuple(rows))
 
 
 def member_instances(seed: int, count: int):

@@ -293,6 +293,18 @@ def spy(monkeypatch, name):
     return results
 
 
+def count_facts(monkeypatch):
+    """Record the table size at each ``_facts`` call."""
+    calls = []
+
+    def counted(succ, bound, roots):
+        calls.append(len(succ))
+        return _facts(succ, bound, roots)
+
+    monkeypatch.setattr(overlapifs.codings, "_facts", counted)
+    return calls
+
+
 class TestClassifyMany:
     """One shared graph for a batch gives the per-point verdicts exactly."""
 
@@ -502,13 +514,7 @@ class TestGraphView:
         assert classify_cardinality(g) == Cardinality.finite(2)
 
     def test_one_tarjan_pass_per_graph(self, quad, monkeypatch):
-        calls = []
-
-        def counted(succ, bound, roots):
-            calls.append(len(succ))
-            return _facts(succ, bound, roots)
-
-        monkeypatch.setattr(overlapifs.codings, "_facts", counted)
+        calls = count_facts(monkeypatch)
         g = build_residual_graph(quad, F(109, 625))
         assert classify_cardinality(g) == Cardinality.finite(2)
         assert enumerate_codings(quad, g.root, 4, graph=g)
@@ -520,9 +526,12 @@ class TestGraphView:
     def test_unclosed_graph_walks_once(self, quad, monkeypatch, limits, limit_hit):
         # 1/6 reaches four residuals, more than either limit lets expansion
         # close: the graph's one step walks the root, and every later read
-        # (verdict, prefixes and each view) takes that walk
+        # (verdict, prefixes and each view) takes that walk. A capped single
+        # root always walks, so its one Tarjan pass comes after the walk.
         walks = spy(monkeypatch, "walk")
+        facts = count_facts(monkeypatch)
         g = build_residual_graph(quad, F(1, 6), **limits)
+        assert facts == [len(g.residuals.pairs)] == [4]
         assert (g.limit_hit, g.exhausted) == (limit_hit, limit_hit is None)
         verdict = classify_cardinality(g)
         assert verdict == (Cardinality.continuum() if g.exhausted else Cardinality.unknown(limit_hit))

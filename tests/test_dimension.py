@@ -15,15 +15,25 @@ import numpy as np
 import pytest
 
 import overlapifs.dimension
-from conftest import member_instances, mpmath_dimension, random_unequal_member, strongly_connected
+from conftest import (
+    member_instances,
+    mpmath_dimension,
+    no_end_member,
+    random_member,
+    random_unequal_member,
+    reference_partition_graph,
+    strongly_connected,
+)
 from overlapifs import (
     AffineMap,
+    CoverViolationError,
     EmptyGraphError,
     EmptyReducedSystemError,
     GraphDirectedSystem,
     Ifs,
     Interval,
     OverlapSpec,
+    Partition,
     PartitionInvariantError,
     ValidationReport,
     Vertex,
@@ -36,7 +46,7 @@ from overlapifs import (
     validate,
 )
 from overlapifs.cli import parse_ifs_file
-from overlapifs.dimension import _below, _float_guess
+from overlapifs.dimension import _below, _float_guess, _lumped
 
 QUAD_MATRIX = (
     (1, 1, 1, 1, 0, 0),
@@ -265,6 +275,35 @@ class TestBuildGraph:
             gds = build_graph(ifs, build_partition(ifs, report))
             assert all(c in (0, 1) for row in gds.counts for c in row)
 
+    def test_window_off_the_cut_points_raises(self, quad, quad_report):
+        # a cut point 1/10 splits quad's first cell; map 1 takes [0, 1/10]
+        # back to [0, 1/2], and 1/2 is no cut point
+        part = build_partition(quad, quad_report)
+        split = Partition(
+            tuple(sorted(part.points + (F(1, 10),))),
+            ((1, 1), (2, 1), (3, 1), (4, 2), (6, 3), (7, 3), (8, 4)),
+            (3, 7),
+        )
+        with pytest.raises(PartitionInvariantError, match=r"cell \[0, 1/10\] under map 1 does not end"):
+            build_graph(quad, split)
+
+    def test_image_end_off_the_cut_points_raises(self, quad, quad_report):
+        # without the cut point 1/5, map 1's hull image [0, 1/5] ends inside a pair
+        points = tuple(p for p in build_partition(quad, quad_report).points if p != F(1, 5))
+        merged = Partition(points, ((1, 1), (2, 2), (4, 3), (5, 3), (6, 4)), (5,))
+        with pytest.raises(CoverViolationError, match=r"image \[0, 1/5\] of map 1 does not end"):
+            build_graph(quad, merged)
+
+    def test_matches_fraction_reference(self, quad, noend, uneven):
+        rng = random.Random(2525)
+        members = [quad, noend, uneven, *(random_member(rng)[0] for _ in range(30))]
+        members += [random_unequal_member(rng) for _ in range(30)]
+        for ifs in members:
+            report = validate(ifs)
+            part, gds = reference_partition_graph(ifs, report)
+            assert build_partition(ifs, report) == part
+            assert build_graph(ifs, part) == gds
+
 
 class TestStrongConnectivity:
     def test_fixtures(self, quad, quad_report, noend, noend_report, uneven, uneven_report):
@@ -436,6 +475,34 @@ class TestSolveDimension:
         lo, hi = solve_dimension(gds, 1e-16).bracket
         assert lo <= F("0.58671219919039537789") <= hi
         assert hi - lo <= F(1e-16)
+
+
+class TestLumped:
+    """Vertices of equal ratio and equal row merge for the exact tests, which keeps every bracket."""
+
+    @pytest.fixture(scope="class")
+    def systems(self, quad, noend, uneven):
+        members = [quad, noend, uneven, *(no_end_member(random.Random(m), m) for m in (16, 32))]
+        return [gds for ifs in members for gds in solved_systems(ifs)]
+
+    def test_merged_sizes(self, quad, noend, uneven):
+        assert [_lumped(solved_systems(ifs)[0]).size for ifs in (quad, noend)] == [3, 3]
+        full = solved_systems(uneven)[0]
+        assert _lumped(full) is full
+
+    def test_row_sums_kept(self, systems):
+        for gds in systems:
+            merged = _lumped(gds)
+            assert merged.size <= gds.size
+            for v, row in zip(merged.vertices, merged.counts):
+                assert sum(row) == sum(gds.counts[gds.vertices.index(v)])
+
+    def test_identity_keeps_bracket_and_iterations(self, systems, monkeypatch):
+        lumped = [solve_dimension(gds) for gds in systems]
+        monkeypatch.setattr(overlapifs.dimension, "_lumped", lambda gds: gds)
+        for gds, result in zip(systems, lumped):
+            whole = solve_dimension(gds)
+            assert (whole.bracket, whole.iterations) == (result.bracket, result.iterations)
 
 
 class TestFloatGuess:
