@@ -470,6 +470,8 @@ _COMMANDS = {
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
+    if hasattr(sys, "set_int_max_str_digits"):  # exact values of any size print in full
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -36,8 +36,8 @@ __all__ = [
     "to_dot",
 ]
 
-# Digits of r**s kept beyond the tolerance, and added when a test is undecided.
-GUARD_DIGITS = 15
+# Digits of r**s kept beyond the tolerance by the first exact test.
+GUARD_DIGITS = 4
 
 
 class PartitionInvariantError(InternalError):
@@ -305,10 +305,10 @@ class DimensionResult(_Value):
     """Dimension value with its certified rational bracket.
 
     The bracket, not the float, is the contract: the exact test proves the
-    weighted spectral radius >= 1 at the lower end and < 1 at the upper end,
-    and the width is at most the tolerance. ``value`` is the midpoint, and
-    ``iterations`` counts the exponents tested exactly, not the float ones.
-    ``method`` names the one route, for reports.
+    weighted spectral radius >= 1 at the lower end and < 1 at the upper end.
+    It is the cell of ``solve_dimension`` that holds s*, a function of the
+    system and the tolerance alone. ``value`` is the midpoint, ``iterations``
+    counts the exact tests, and ``method`` names the one route, for reports.
     """
 
     value: float
@@ -317,8 +317,8 @@ class DimensionResult(_Value):
     method = "bisection"
 
 
-def _power_bounds(ratios: Sequence[Fraction], digits: int):
-    """Return ``bounds(s)``: integers lo <= r**s * 10**digits <= hi per ratio r.
+def _power_bounds(ratios: Sequence[Fraction], digits: int, shift: int):
+    """Return ``bounds(n)``: integers lo <= r**s * 10**digits <= hi per ratio r, s = n / 2**shift.
 
     ``decimal`` computes exp(s * ln r) with 10 spare digits, each step
     correctly rounded, so the truncated result widened by one unit below
@@ -327,8 +327,8 @@ def _power_bounds(ratios: Sequence[Fraction], digits: int):
     ctx = Context(prec=digits + 10)
     logs = [ctx.ln(ctx.divide(r.numerator, r.denominator)) for r in ratios]
 
-    def bounds(s: Fraction) -> tuple[list[int], list[int]]:
-        t = ctx.divide(s.numerator, s.denominator)
+    def bounds(n: int) -> tuple[list[int], list[int]]:
+        t = ctx.divide(n, 1 << shift)
         approx = [int(ctx.scaleb(ctx.exp(ctx.multiply(t, lg)), digits)) for lg in logs]
         return [max(0, v - 1) for v in approx], [v + 2 for v in approx]
 
@@ -380,16 +380,16 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
     """Bracket the exponent s* where the weighted spectral radius equals one.
 
     Row p of the edge matrix is weighted by r_p**s. The radius decreases
-    strictly in s, so s <= s* exactly when it is at least one. The exact
-    test encloses every r**s between integers over 10**P, P about 15 digits
-    beyond ``tol``: a lower enclosure not below one proves s <= s*, an upper
-    one below one proves s > s*. The bracket width is the largest power of
-    two not above ``tol``. Around the float secant search's s*, rounded to a
-    dyadic grid 16 times finer, and around any midpoint neither decides (s*
-    is then within about 10**-P), the ends of that bracket are proved, at
-    higher precision if need be; exact bisection goes on from whatever was
-    proved. The exact tests run on ``_lumped(gds)``, which has the same
-    radius at every s; the float search runs on ``gds`` itself.
+    strictly in s, from at least one at s = 0 to below one at the power of two
+    h where every weighted row sum is. The bracket is the cell [(k - 1/2)·w,
+    (k + 1/2)·w] that holds s*, w the largest power of two not above ``tol``,
+    cut to [0, h]. The exact test encloses each r**s between integers over
+    10**P, P ``GUARD_DIGITS`` beyond ``tol`` and doubled while undecided: a
+    lower enclosure not below one proves s <= s*, an upper one below one
+    proves s > s*. It tries the end nearest the float secant search's s*, its
+    neighbour, then steps doubling (from twice the guess's float spacing)
+    while the side repeats, then bisects the end index. Both searches run on
+    ``_lumped(gds)``, which has the same radius at every s.
     """
     check_tol(tol)
     if gds.size == 0:
@@ -398,52 +398,49 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
         raise EmptyGraphError("graph-directed system has no edges")
 
     lumped = _lumped(gds)
-    ratios = sorted({v.ratio for v in lumped.vertices})
-    slots = [ratios.index(v.ratio) for v in lumped.vertices]
-    width = Fraction(2) ** (math.frexp(tol)[1] - 1)
-    digits = GUARD_DIGITS + max(0, math.ceil(-math.log10(tol)))
-    bounds = _power_bounds(ratios, digits)
-    steps = 1
-
-    def side(s: Fraction) -> int:
-        """-1 when s <= s* is proved, 1 when s > s* is proved, else 0."""
-        nonlocal steps
-        steps += 1
-        low, high = ([[w[k] * c for c in row] for k, row in zip(slots, lumped.counts)] for w in bounds(s))
-        if _below(high, 10**digits):
-            return 1
-        return 0 if _below(low, 10**digits) else -1
-
-    def narrow(s: Fraction) -> None:
-        """Prove each end of the ``width``-wide bracket centred on s that lies inside."""
-        nonlocal digits, bounds, lo, hi
-        for end in (s - width / 2, s + width / 2):
-            if lo < end < hi:
-                while (verdict := side(end)) == 0:
-                    digits += GUARD_DIGITS
-                    bounds = _power_bounds(ratios, digits)
-                lo, hi = (end, hi) if verdict < 0 else (lo, end)
-
     if _below(lumped.counts, 1):
         # Acyclic counts: the radius is zero at every exponent.
         return DimensionResult(0.0, (Fraction(0), Fraction(0)), 1)
-    # The radius is at least one at s = 0, and at most the largest weighted row sum.
-    h, rows = 1, list(zip(lumped.vertices, map(sum, lumped.counts)))
-    while any(v.ratio.numerator**h * total >= v.ratio.denominator**h for v, total in rows):
+    ratios = sorted({v.ratio for v in lumped.vertices})
+    slots = [ratios.index(v.ratio) for v in lumped.vertices]
+    h, rows = 1, [(v.ratio, sum(row)) for v, row in zip(lumped.vertices, lumped.counts)]
+    while any(r.numerator**h * total >= r.denominator**h for r, total in rows):
         h *= 2
-    lo, hi = Fraction(0), Fraction(h)
-    if math.isfinite(guess := _float_guess(gds, float(lo), float(hi), tol)):
-        narrow(round(Fraction(guess) * 16 / width) * width / 16)
-    while hi - lo > width:
-        s = (lo + hi) / 2
-        verdict = side(s)
-        if verdict == 0:
-            narrow(s)
-        elif verdict < 0:
-            lo = s
+    # End j is (2j - 1)·half over 2**shift, half = w/2: end 0 lies below 0 and end hi not below h.
+    half, shift = 1 << max(0, e := math.frexp(tol)[1] - 2), max(0, -e)  # w/2 = 2**e
+    lo, hi = 0, -(-((h << shift) + half) // (2 * half))
+    first = digits = GUARD_DIGITS + max(0, math.ceil(-math.log10(tol)))
+    bounds, steps = _power_bounds(ratios, digits, shift), 1
+
+    def at_or_below(n: int) -> bool:
+        """Whether s = n / 2**shift is proved at or below s*; False when it is proved above."""
+        nonlocal steps, digits, bounds
+        steps += 1
+        low, high = ([[w[k] * c for c in row] for k, row in zip(slots, lumped.counts)] for w in bounds(n))
+        if (above := _below(high, 10**digits)) or not _below(low, 10**digits):
+            return not above
+        if digits >= 64 * first:
+            raise InternalError(f"no enclosure to {digits} digits decides the dimension test")
+        digits, bounds = 2 * digits, _power_bounds(ratios, 2 * digits, shift)
+        return at_or_below(n)
+
+    # s* lies between the least and the largest s where a weighted row sum is one, give or take rounding.
+    cw = [math.log(t) / (math.log(r.denominator) - math.log(r.numerator)) if t else 0.0 for r, t in rows]
+    start = (max(0.0, min(cw) - tol), min(float(h), max(cw) + tol))
+    guess = g if 0 <= (g := _float_guess(lumped, *start, tol)) <= h else 0.0
+    (n, d), (un, ud) = guess.as_integer_ratio(), math.ulp(guess).as_integer_ratio()
+    j = (n << shift) // d // (2 * half) + 1
+    spread, step, rising = (un << shift) // (ud * half), 1, None
+    while hi - lo > 1:
+        j = min(max(j, lo + 1), hi - 1)
+        up = at_or_below((2 * j - 1) * half)
+        lo, hi = (j, hi) if up else (lo, j)
+        if step and rising in (None, up):
+            j, step, rising = j + (step if up else -step), max(2 * step, spread), up
         else:
-            hi = s
-    return DimensionResult(float((lo + hi) / 2), (lo, hi), steps)
+            j, step = (lo + hi) // 2, 0
+    ends = (max(0, (2 * lo - 1) * half), min(h << shift, (2 * hi - 1) * half))
+    return DimensionResult(sum(ends) / (2 << shift), tuple(Fraction(e, 1 << shift) for e in ends), steps)
 
 
 def reduced_system(ifs: Ifs, part: Partition, gds: GraphDirectedSystem) -> GraphDirectedSystem:

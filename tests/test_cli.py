@@ -23,6 +23,7 @@ from overlapifs import (
     PartitionInvariantError,
     SearchCapExceeded,
     WitnessVerificationError,
+    evaluate,
 )
 from overlapifs.cli import IfsFileError, main, parse_ifs_file
 
@@ -217,6 +218,20 @@ class TestClassifyCommand:
     def test_bad_digit_exits_three(self, quad_file):
         code, _ = run(["classify", quad_file, "--point", "w=9;p=4"])
         assert code == 3
+
+    def test_value_of_any_size_prints_in_full(self, quad, quad_file):
+        # The value's numerator has about 4,900 digits, past CPython's default
+        # limit of 4,300 digits for turning an int into a string.
+        preperiod = (2,) * 7000
+        point = f"w={','.join(map(str, preperiod))};p=1,4"
+        argv = ["classify", quad_file, "--point", point, "--max-depth", "20000", "--max-nodes", "100000"]
+        code, text = run(argv)
+        assert code == 0
+        assert "display: continuum" in text
+        printed = next(line for line in text.splitlines() if line.startswith("  value: "))
+        value = Fraction(printed.split()[1])
+        assert value == evaluate(quad, preperiod, (1, 4))
+        assert len(str(value.numerator)) > 4300
 
 
 class TestClassifyGolden:

@@ -1,6 +1,8 @@
 """Partition, cell digraph, spectral radius and the dimension solver."""
 
 import ast
+import io
+import json
 import math
 import operator
 import os
@@ -31,6 +33,7 @@ from overlapifs import (
     EmptyReducedSystemError,
     GraphDirectedSystem,
     Ifs,
+    InternalError,
     Interval,
     OverlapSpec,
     Partition,
@@ -45,8 +48,9 @@ from overlapifs import (
     to_dot,
     validate,
 )
-from overlapifs.cli import parse_ifs_file
+from overlapifs.cli import main, parse_ifs_file
 from overlapifs.dimension import _below, _float_guess, _lumped
+from overlapifs.system import DEFAULT_TOL
 
 QUAD_MATRIX = (
     (1, 1, 1, 1, 0, 0),
@@ -568,13 +572,16 @@ class TestFloatGuess:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-15])
     def test_bracket_ends_are_short_dyadic_rationals(self, cases, tol):
-        # The width is a power of two no larger than tol, on a grid 16 times finer.
+        # The bracket is a cell of width w, the largest power of two not above
+        # tol, and its ends are odd multiples of w/2.
+        half = F(2) ** (math.frexp(tol)[1] - 2)
         for gds, root in cases:
             lo, hi = solve_dimension(gds, tol).bracket
             assert_holds((lo, hi), root, tol)
+            assert hi - lo == 2 * half
             for end in (lo, hi):
-                assert end.denominator & (end.denominator - 1) == 0
-                assert end.denominator <= 32 / tol
+                assert (end / half).denominator == 1
+                assert (end / half).numerator % 2 == 1
 
     def test_float_pivot_test_agrees_with_exact(self):
         rng = random.Random(77)
@@ -590,6 +597,143 @@ class TestFloatGuess:
             assert _below(matrix, bound) == _below(floats, float(bound), operator.truediv)
             assert _below(matrix, bound) == (rho < bound)
             compared += 1
+
+
+def one_vertex(ratio: str, count: int) -> GraphDirectedSystem:
+    """One vertex with a loop of the given count, so s* = log(count) / log(1/ratio)."""
+    return GraphDirectedSystem((Vertex(1, Interval(F(0), F(1)), 1, F(ratio)),), ((count,),))
+
+
+def undecided_bounds(ratios, digits, shift):
+    """``_power_bounds`` whose enclosures never decide a test: every r**s lies in [0, 10**digits]."""
+    return lambda n: ([0] * len(ratios), [10 ** (2 * digits)] * len(ratios))
+
+
+class TestCanonicalCell:
+    """The bracket is the cell [(k - 1/2)·w, (k + 1/2)·w] that holds s*, cut to [0, h]: a
+    function of the system and tol alone, whatever the float guess and the precision."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self, quad, noend, uneven):
+        rng = random.Random(5)
+        members = [quad, noend, uneven, *(random_member(rng)[0] for _ in range(30))]
+        members += [random_unequal_member(rng) for _ in range(30)]
+        members += [no_end_member(random.Random(m), m) for m in (16, 32)]
+        return [gds for ifs in members for gds in solved_systems(ifs)]
+
+    @pytest.fixture(scope="class")
+    def roots(self, graphs):
+        # The reference takes seconds on each graph of the no-end members (TestLargeMembers).
+        return [mpmath_dimension(gds.counts, [v.ratio for v in gds.vertices]) for gds in graphs[:-4]]
+
+    @pytest.mark.parametrize("tol,budget", [(1e-12, 4), (1e-16, 6), (1e-18, 18)])
+    def test_exact_test_budget(self, graphs, roots, tol, budget):
+        # Below float resolution the search starts from the float guess's spacing.
+        for k, gds in enumerate(graphs):
+            result = solve_dimension(gds, tol)
+            assert result.iterations <= budget
+            if k < len(roots):
+                assert_holds(result.bracket, roots[k], tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-16, 1e-18])
+    @pytest.mark.parametrize(
+        "ratio,count,root", [("1/4", 2, F(1, 2)), ("1/9", 3, F(1, 2)), ("1/16", 2, F(1, 4))]
+    )
+    def test_dyadic_graphs_take_three_tests(self, ratio, count, root, tol):
+        # A float guess that is exact is confirmed by its cell's two ends.
+        result = solve_dimension(one_vertex(ratio, count), tol)
+        lo, hi = result.bracket
+        assert lo < root < hi
+        assert hi - lo <= F(tol)
+        assert result.iterations == 3
+
+    @pytest.mark.parametrize("which", ["E", "U1"])
+    @pytest.mark.parametrize("name", ["quad", "noend", "uneven"])
+    def test_guess_inside_the_cell_gives_identical_json(self, data_dir, tmp_path, monkeypatch, name, which):
+        golden = data_dir / "golden" / f"dim-{which}-{name}.json"
+        bracket = json.loads(golden.read_text())["dimension"]["bracket"]
+        lo, hi = (F(bracket[end]["exact"]) for end in ("lo", "hi"))
+        report = tmp_path / "dim.json"
+        for guess in (lo + (hi - lo) / 5, hi - (hi - lo) / 7):
+            monkeypatch.setattr(overlapifs.dimension, "_float_guess", lambda *args, g=float(guess): g)
+            argv = ["dim", str(data_dir / f"{name}.ifs"), "--set", which, "--json", str(report)]
+            assert main(argv, io.StringIO()) == 0
+            assert report.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("cells", [-9, -3, -2, 2, 3, 9])
+    def test_guess_cells_away_gives_the_same_bracket(self, quad, noend, uneven, monkeypatch, cells):
+        width = F(2) ** (math.frexp(DEFAULT_TOL)[1] - 1)
+        for gds in (g for ifs in (quad, noend, uneven) for g in solved_systems(ifs)):
+            result = solve_dimension(gds)
+            guess = float(sum(result.bracket) / 2 + cells * width)
+            monkeypatch.setattr(overlapifs.dimension, "_float_guess", lambda *args: guess)
+            assert solve_dimension(gds).bracket == result.bracket
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-16, 0.5])
+    def test_zero_dimension_is_not_cut_below_zero(self, tol):
+        # s* = 0 lies in the cell [-w/2, w/2], which [0, h] cuts to [0, w/2].
+        result = solve_dimension(one_vertex("1/3", 1), tol)
+        assert result.bracket == (0, F(2) ** (math.frexp(tol)[1] - 2))
+
+    @pytest.mark.parametrize("tol", [2.0, 10.0, 1000.0, 1e10, 1e300])
+    def test_coarse_tolerances(self, quad, noend, uneven, tol):
+        # w/2 is at least 1 here, so every end is an integer, and the bracket is cut to
+        # [0, h]. The float search stays in [0, h] too, where no r**s overflows.
+        assert solve_dimension(one_vertex("1/3", 1), tol).bracket == (0, 1)
+        for gds in (g for ifs in (quad, noend, uneven) for g in solved_systems(ifs)):
+            lo, hi = solve_dimension(gds, tol).bracket
+            fine_lo, fine_hi = solve_dimension(gds).bracket
+            assert 0 == lo <= fine_lo < fine_hi <= hi <= 2
+            assert (hi - lo).denominator == 1
+
+    def test_undecided_test_runs_again_at_twice_the_precision(self, quad, monkeypatch):
+        gds, real, precisions = solved_systems(quad)[0], overlapifs.dimension._power_bounds, []
+
+        def first_undecided(ratios, digits, shift):
+            precisions.append(digits)
+            return (undecided_bounds if len(precisions) == 1 else real)(ratios, digits, shift)
+
+        plain = solve_dimension(gds)
+        monkeypatch.setattr(overlapifs.dimension, "_power_bounds", first_undecided)
+        raised = solve_dimension(gds)
+        assert precisions == [16, 32]
+        assert raised.bracket == plain.bracket
+        assert raised.iterations == plain.iterations + 1
+
+    def test_precision_cap_raises_internal_error(self, quad, data_dir, monkeypatch):
+        precisions = []
+
+        def never_decided(ratios, digits, shift):
+            precisions.append(digits)
+            return undecided_bounds(ratios, digits, shift)
+
+        monkeypatch.setattr(overlapifs.dimension, "_power_bounds", never_decided)
+        with pytest.raises(InternalError, match="decides the dimension test"):
+            solve_dimension(solved_systems(quad)[0])
+        assert precisions == [16 << k for k in range(7)]
+        out = io.StringIO()
+        assert main(["dim", str(data_dir / "quad.ifs")], out) == 2
+        assert out.getvalue().startswith("error: no enclosure")
+
+    def test_dimension_on_a_cell_end_raises_internal_error(self):
+        # s* = 1/2 is the end between the cells around 0 and 1 when w = 1.
+        with pytest.raises(InternalError, match="256 digits"):
+            solve_dimension(one_vertex("1/4", 2), 1.0)
+
+
+class TestLargeMembers:
+    """The seeded no-end members with 16, 32 and 64 maps, at the default tol."""
+
+    @pytest.mark.parametrize("m", [16, 32, 64])
+    def test_exact_test_budget_and_root(self, m):
+        for gds in solved_systems(no_end_member(random.Random(m), m)):
+            result = solve_dimension(gds)
+            assert result.iterations <= 4
+            # The reference takes seconds on the whole graph past m = 16; the lumped
+            # graph has the same radius at every s (TestLumped).
+            ref = gds if m == 16 else _lumped(gds)
+            assert_holds(result.bracket, mpmath_dimension(ref.counts, [v.ratio for v in ref.vertices]), DEFAULT_TOL)
 
 
 class TestReducedSystem:
