@@ -470,8 +470,6 @@ _COMMANDS = {
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    if hasattr(sys, "set_int_max_str_digits"):  # exact values of any size print in full
-        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -490,6 +488,9 @@ def main(argv=None, out=None) -> int:
 
 
 def _run(args, out) -> int:
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:  # exact values of any size print in full, until the command returns
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args, out)
     except _NotMember:
@@ -502,6 +503,9 @@ def _run(args, out) -> int:
     except (IfsFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_PARSE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

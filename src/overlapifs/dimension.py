@@ -106,11 +106,11 @@ def build_partition(ifs: Ifs, report: ValidationReport) -> Partition:
     The set consists of all hull-image endpoints plus the two overlap tails:
     the forward orbit of the right hull endpoint under the first map (up to
     the maximal left tail length) and of the left hull endpoint under the
-    last map (up to the maximal right tail length). The expected count, the
-    preimage closure of admissible pairs and the switch cells are hard checks.
-    They run on the cut points' integer index (``_cut_index``): pair i lies in
-    hull image d when lo_d < i <= hi_d, the indices of the image's ends, and a
-    preimage through ``Ifs.integer_maps`` must divide exactly onto an index.
+    last map (up to the maximal right tail length). The expected count and
+    the switch cells are hard checks. They run on the cut points' integer
+    index (``_cut_index``): pair i lies in hull image d when lo_d < i <= hi_d,
+    the indices of the image's ends. ``build_graph`` checks that each cell's
+    covering inverse map takes it onto a window between cut points.
     """
     if not report.member:
         raise ValueError("partition is only defined for members")
@@ -134,7 +134,7 @@ def build_partition(ifs: Ifs, report: ValidationReport) -> Partition:
             f"expected {expected} cut points, deduplication left {len(index)}"
         )
     ordered = tuple(sorted(points, key=lambda p: p.numerator * (den // p.denominator)))
-    nums, spans = list(index), _spans(ifs.pieces, den, index)
+    spans = _spans(ifs.pieces, den, index)
 
     cells: list[tuple[int, int]] = []
     for i in range(1, len(ordered)):
@@ -142,15 +142,6 @@ def build_partition(ifs: Ifs, report: ValidationReport) -> Partition:
             if lo < i <= hi:
                 cells.append((i, d))
                 break
-
-    for i, d in cells:
-        a, b, c = ifs.integer_maps[d - 1]
-        for end in (i - 1, i):
-            if _at(index, pre := c * nums[end] - b * den, a) is None:
-                raise PartitionInvariantError(
-                    f"preimage {format_rational(Fraction(pre, a * den))} of cut point "
-                    f"{format_rational(ordered[end])} under map {d} is not a cut point"
-                )
 
     digits = dict(cells)
     overlaps = _spans((spec.overlap for spec in report.overlaps), den, index)
@@ -192,14 +183,14 @@ def build_graph(ifs: Ifs, part: Partition) -> GraphDirectedSystem:
     """Edge structure over the admissible cells.
 
     Each vertex p gets an edge to exactly the admissible cells contained in
-    the inverse image of p's cell under p's covering map. Two structural
+    the inverse image of p's cell under p's covering map. Three structural
     facts are verified along the way: no non-admissible gap meets a hull
-    image in more than endpoints, and the admissible cells cover exactly the
-    union of the hull images. Both compare index spans of the cut points
-    (``_cut_index``), and the inverse image of the cell of pair i is the
+    image in more than endpoints, the admissible cells cover exactly the
+    union of the hull images, and the cut points are closed under each
+    cell's covering inverse map (checked only here). All compare index spans
+    of the cut points (``_cut_index``): the cell of pair i maps back onto the
     window between cut points j and k, so row p has a 1 for each cell i_q
-    with j < i_q <= k. A hull image or window that does not end at cut
-    points is an error.
+    with j < i_q <= k, and a hull image or window off the cut points fails.
     """
     den, index = _cut_index(part.points)
     spans, gaps = _spans(ifs.pieces, den, index), part.gap_pairs()
@@ -459,9 +450,9 @@ def reduced_system(ifs: Ifs, part: Partition, gds: GraphDirectedSystem) -> Graph
     return GraphDirectedSystem(vertices=vertices, counts=counts)
 
 
-def to_dot(gds: GraphDirectedSystem, name: str = "coverage") -> str:
+def to_dot(gds: GraphDirectedSystem) -> str:
     """Graphviz rendering: cells labelled by exact endpoints, edges by digit."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines = ["digraph coverage {", "  rankdir=LR;"]
     for p, v in enumerate(gds.vertices):
         label = f"{format_rational(v.cell.lo)}..{format_rational(v.cell.hi)}"
         lines.append(f'  v{p} [label="{label}"];')

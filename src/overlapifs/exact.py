@@ -114,9 +114,6 @@ class Interval(_Value):
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
     def contains_interval(self, other: Interval) -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
@@ -132,10 +129,6 @@ class Interval(_Value):
         if lo > hi:
             return None
         return Interval(lo, hi)
-
-    def interior_overlaps(self, other: Interval) -> bool:
-        """True when the open interiors intersect."""
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
 
     def __str__(self) -> str:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"

@@ -20,7 +20,6 @@ from overlapifs import (
     Partition,
     PartitionInvariantError,
     Vertex,
-    format_rational,
     validate,
 )
 from overlapifs.scc import strongly_connected_components
@@ -290,6 +289,16 @@ def reference_facts(succ, bound: int):
     return flag, walks, size
 
 
+def contains(iv: Interval, x: F) -> bool:
+    """Closed membership of x in iv."""
+    return iv.lo <= x <= iv.hi
+
+
+def interior_overlaps(one: Interval, other: Interval) -> bool:
+    """True when the open interiors of two closed intervals intersect."""
+    return max(one.lo, other.lo) < min(one.hi, other.hi)
+
+
 def _merged(intervals) -> list[Interval]:
     """Union of closed intervals as a sorted list of maximal pieces."""
     out: list[Interval] = []
@@ -330,14 +339,6 @@ def reference_partition_graph(ifs: Ifs, report) -> tuple[Partition, GraphDirecte
             if ifs.piece(d).contains_interval(cell):
                 cells.append((i, d))
                 break
-    for i, d in cells:
-        for endpoint in (ordered[i - 1], ordered[i]):
-            pre = ifs.map(d).invert(endpoint)
-            if pre not in points:
-                raise PartitionInvariantError(
-                    f"preimage {format_rational(pre)} of cut point "
-                    f"{format_rational(endpoint)} under map {d} is not a cut point"
-                )
     pair_of = {Interval(ordered[i - 1], ordered[i]): i for i, _ in cells}
     switches = tuple(pair_of.get(spec.overlap) for spec in report.overlaps)
     if None in switches:
@@ -358,12 +359,16 @@ def reference_partition_graph(ifs: Ifs, report) -> tuple[Partition, GraphDirecte
     for i in part.gap_pairs():
         gap = part.pair_interval(i)
         for d in range(1, ifs.m + 1):
-            if ifs.piece(d).interior_overlaps(gap):
+            if interior_overlaps(ifs.piece(d), gap):
                 raise CoverViolationError(f"gap {gap} meets the image of map {d} beyond endpoints")
     rows: list[tuple[int, ...]] = []
     for v in vertices:
         g = ifs.map(v.digit)
         window = Interval(g.invert(v.cell.lo), g.invert(v.cell.hi))
+        if window.lo not in points or window.hi not in points:
+            raise PartitionInvariantError(
+                f"the inverse image of cell {v.cell} under map {v.digit} does not end at cut points"
+            )
         rows.append(tuple(1 if window.contains_interval(w.cell) else 0 for w in vertices))
     return part, GraphDirectedSystem(vertices=vertices, counts=tuple(rows))
 
@@ -376,7 +381,7 @@ def member_instances(seed: int, count: int):
 def admissible_digits(ifs: Ifs, x: F) -> list[int]:
     """All digits whose Fraction hull image contains x (closed membership),
     ascending: the reference for the walk's integer hull test."""
-    return [d for d in range(1, ifs.m + 1) if ifs.piece(d).contains(x)]
+    return [d for d in range(1, ifs.m + 1) if contains(ifs.piece(d), x)]
 
 
 def reference_residual_graph(ifs: Ifs, x: F, max_nodes: int, max_depth: int) -> SimpleNamespace:

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import numpy
 
-from conftest import member_instances, oracle_classify, quad_maps, strongly_connected
+from conftest import contains, member_instances, oracle_classify, quad_maps, strongly_connected
 from overlapifs import (
     Cardinality,
     Ifs,
@@ -195,7 +195,7 @@ def test_criterion_8_property_suites(quad, quad_report, noend, noend_report):
         ):
             for x in xs:
                 for word in enumerate_codings(ifs, x, 5):
-                    if not ifs.compose_word(word).apply_interval(ifs.hull).contains(x):
+                    if not contains(ifs.compose_word(word).apply_interval(ifs.hull), x):
                         problems.append(f"prefix {word} loses {x}")
 
         # forced prefixes on 100 sampled overlap points across both fixtures

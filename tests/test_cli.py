@@ -1,5 +1,6 @@
 """Command line: file grammar, subcommands, exit codes, report stability."""
 
+import contextlib
 import io
 import json
 import os
@@ -48,6 +49,23 @@ def run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")  # CPython 3.10.7 and later
+
+
+@contextlib.contextmanager
+def any_digits():
+    """Lift CPython's int-to-string digit limit inside the block."""
+    if not DIGIT_LIMIT:
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture
@@ -229,9 +247,23 @@ class TestClassifyCommand:
         assert code == 0
         assert "display: continuum" in text
         printed = next(line for line in text.splitlines() if line.startswith("  value: "))
-        value = Fraction(printed.split()[1])
-        assert value == evaluate(quad, preperiod, (1, 4))
-        assert len(str(value.numerator)) > 4300
+        with any_digits():  # main put the limit back; this test's own parsing lifts it again
+            value = Fraction(printed.split()[1])
+            assert value == evaluate(quad, preperiod, (1, 4))
+            assert len(str(value.numerator)) > 4300
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python has no int-to-string digit limit")
+    @pytest.mark.parametrize("argv", [["validate"], ["classify", "--point", "w=;p=1,4"], ["nonsense"]])
+    def test_digit_limit_is_restored(self, quad_file, argv):
+        # main lifts CPython's int-to-string digit limit while a command runs, and
+        # hands the caller's limit back on every way out
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            run([argv[0], quad_file, *argv[1:]])
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestClassifyGolden:

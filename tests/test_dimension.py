@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import overlapifs.dimension
+import overlapifs.verify
 from conftest import (
     member_instances,
     mpmath_dimension,
@@ -79,6 +80,20 @@ NOEND_REDUCED = (
     (0, 1, 1, 1),
     (1, 1, 1, 1),
 )
+
+
+QUAD_POINTS = (F(0), F(4, 25), F(1, 5), F(9, 25), F(16, 25), F(4, 5), F(21, 25), F(1))
+
+
+def split_quad(quad, quad_report):
+    """quad's partition with a cut point 1/10 splitting its first cell: map 1
+    takes [0, 1/10] back to [0, 1/2], and 1/2 is no cut point."""
+    part = build_partition(quad, quad_report)
+    return Partition(
+        tuple(sorted(part.points + (F(1, 10),))),
+        ((1, 1), (2, 1), (3, 1), (4, 2), (6, 3), (7, 3), (8, 4)),
+        (3, 7),
+    )
 
 
 def known_miss_reduced():
@@ -153,9 +168,7 @@ def quad_radius_oracle():
 class TestPartition:
     def test_quad_points(self, quad, quad_report):
         part = build_partition(quad, quad_report)
-        assert part.points == (
-            F(0), F(4, 25), F(1, 5), F(9, 25), F(16, 25), F(4, 5), F(21, 25), F(1),
-        )
+        assert part.points == QUAD_POINTS
         assert part.gamma == 8 == 2 * 4 + 1 + 1 - 2
         assert part.cells == ((1, 1), (2, 1), (3, 2), (5, 3), (6, 3), (7, 4))
         assert part.switches == (2, 6)
@@ -280,16 +293,35 @@ class TestBuildGraph:
             assert all(c in (0, 1) for row in gds.counts for c in row)
 
     def test_window_off_the_cut_points_raises(self, quad, quad_report):
-        # a cut point 1/10 splits quad's first cell; map 1 takes [0, 1/10]
-        # back to [0, 1/2], and 1/2 is no cut point
-        part = build_partition(quad, quad_report)
-        split = Partition(
-            tuple(sorted(part.points + (F(1, 10),))),
-            ((1, 1), (2, 1), (3, 1), (4, 2), (6, 3), (7, 3), (8, 4)),
-            (3, 7),
-        )
         with pytest.raises(PartitionInvariantError, match=r"cell \[0, 1/10\] under map 1 does not end"):
-            build_graph(quad, split)
+            build_graph(quad, split_quad(quad, quad_report))
+
+    @pytest.mark.parametrize("command", [["partition"], ["dim"], ["verify", "--theorem", "3"]])
+    def test_every_command_checks_closure(self, quad, quad_report, data_dir, monkeypatch, capsys, command):
+        # build_partition leaves the closure of the cut points to build_graph,
+        # so every command that builds a partition must still refuse split_quad's cut points
+        split = split_quad(quad, quad_report)
+        for module in (overlapifs.dimension, overlapifs.verify):
+            monkeypatch.setattr(module, "build_partition", lambda ifs, report: split)
+        out = io.StringIO()
+        assert main([command[0], str(data_dir / "quad.ifs"), *command[1:]], out) == 2
+        error = "error: the inverse image of cell [0, 1/10] under map 1 does not end at cut points"
+        assert error in out.getvalue().splitlines()
+        assert "Traceback" not in out.getvalue() + capsys.readouterr().err
+
+    def test_gap_inside_an_image_raises(self, quad):
+        # without cell (2, 1), pair 2 is a gap inside map 1's image [0, 1/5]
+        cells = ((1, 1), (3, 2), (5, 3), (6, 3), (7, 4))
+        match = r"gap \[4/25, 1/5\] meets the image of map 1 beyond endpoints"
+        with pytest.raises(CoverViolationError, match=match):
+            build_graph(quad, Partition(QUAD_POINTS, cells, (6,)))
+
+    def test_cell_outside_the_images_raises(self, quad):
+        # cell (4, 2) turns the gap between images 2 and 3 into a cell that no image holds
+        cells = ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 4))
+        match = r"do not cover the union of hull images: \['\[9/25, 16/25\]'\] lie outside it"
+        with pytest.raises(CoverViolationError, match=match):
+            build_graph(quad, Partition(QUAD_POINTS, cells, (2, 6)))
 
     def test_image_end_off_the_cut_points_raises(self, quad, quad_report):
         # without the cut point 1/5, map 1's hull image [0, 1/5] ends inside a pair
