@@ -10,6 +10,7 @@ exchange codings gives the subsystem bounding the single-coding set.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from decimal import Context
@@ -231,16 +232,18 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def _minor(matrix: Sequence[Sequence[int]], bound: int, divide=operator.floordiv):
-    """The first leading principal minor of bound*I - matrix that is not positive, else the last.
+def _minor(matrix: Sequence[Sequence[int]], bound: int, divide=operator.floordiv, weights=None):
+    """The first leading principal minor of B = bound*I - diag(weights)*matrix that is not
+    positive, else the last; row weights (1 when None) are applied as B's one copy is built.
 
-    bound*I - matrix is a Z-matrix, and a Z-matrix is a nonsingular
-    M-matrix (which here means rho(matrix) < bound) exactly when every
-    leading principal minor is positive. Fraction-free (Bareiss) elimination
-    yields those minors as its successive pivots.
+    B is a Z-matrix, and a Z-matrix is a nonsingular M-matrix (which here
+    means rho(diag(weights)*matrix) < bound) exactly when every leading
+    principal minor is positive. Fraction-free (Bareiss) elimination yields
+    those minors as its successive pivots.
     """
     n = len(matrix)
-    a = [[(bound if p == q else 0) - x for q, x in enumerate(row)] for p, row in enumerate(matrix)]
+    rows = zip(weights or [1] * n, matrix)
+    a = [[(bound if p == q else 0) - w * x for q, x in enumerate(row)] for p, (w, row) in enumerate(rows)]
     previous = 1
     for k in range(n):
         pivot = a[k][k]
@@ -256,9 +259,10 @@ def _minor(matrix: Sequence[Sequence[int]], bound: int, divide=operator.floordiv
     return previous
 
 
-def _below(matrix: Sequence[Sequence[int]], bound: int, divide=operator.floordiv) -> bool:
-    """Exactly whether rho(matrix) < bound, for a nonnegative integer matrix (see ``_minor``)."""
-    return _minor(matrix, bound, divide) > 0
+def _below(matrix: Sequence[Sequence[int]], bound: int, divide=operator.floordiv, weights=None) -> bool:
+    """Exactly whether rho(diag(weights)*matrix) < bound, for a nonnegative integer matrix and
+    weights (all 1 when None; see ``_minor``)."""
+    return _minor(matrix, bound, divide, weights) > 0
 
 
 def spectral_radius(matrix, tol: float = 1e-9) -> float:
@@ -308,15 +312,23 @@ class DimensionResult(_Value):
     method = "bisection"
 
 
-def _power_bounds(ratios: Sequence[Fraction], digits: int, shift: int):
-    """Return ``bounds(n)``: integers lo <= r**s * 10**digits <= hi per ratio r, s = n / 2**shift.
+@functools.lru_cache(maxsize=64)
+def _log(p: int, q: int, prec: int):
+    """ln(p/q) to ``prec`` digits, correctly rounded; computed once per ratio and precision."""
+    ctx = Context(prec=prec)
+    return ctx.ln(ctx.divide(p, q))
+
+
+def _power_bounds(ratios: Sequence[tuple[int, int]], digits: int, shift: int):
+    """Return ``bounds(n)``: integers lo <= r**s * 10**digits <= hi per ratio r, given as its
+    pair (p, q), at s = n / 2**shift.
 
     ``decimal`` computes exp(s * ln r) with 10 spare digits, each step
     correctly rounded, so the truncated result widened by one unit below
-    and two above encloses r**s.
+    and two above encloses r**s. ln r comes from ``_log``'s memo.
     """
     ctx = Context(prec=digits + 10)
-    logs = [ctx.ln(ctx.divide(r.numerator, r.denominator)) for r in ratios]
+    logs = [_log(p, q, ctx.prec) for p, q in ratios]
 
     def bounds(n: int) -> tuple[list[int], list[int]]:
         t = ctx.divide(n, 1 << shift)
@@ -326,11 +338,28 @@ def _power_bounds(ratios: Sequence[Fraction], digits: int, shift: int):
     return bounds
 
 
+def _exact_powers(ratios: Sequence[tuple[int, int]], n: int, shift: int):
+    """``(weights, den)`` with r**s = weight / den for each ratio r = p/q at s = n / 2**shift
+    when every r**s is rational, else None: with s = n'/2**k in lowest terms, r**s is
+    rational exactly when p and q are 2**k-th powers."""
+    while shift and not n & 1:
+        n, shift = n >> 1, shift - 1
+    roots = [x for pair in ratios for x in pair]
+    for _ in range(shift):
+        squares, roots = roots, [math.isqrt(x) for x in roots]
+        if any(x * x != y for x, y in zip(roots, squares)):
+            return None
+    nums, dens = [a**n for a in roots[::2]], [b**n for b in roots[1::2]]
+    den = math.lcm(*dens)
+    return [a * (den // b) for a, b in zip(nums, dens)], den
+
+
 def _float_guess(gds: GraphDirectedSystem, lo: float, hi: float, tol: float) -> float:
     """Illinois regula falsi on s in floats: proposes s*, proves nothing.
 
-    f(s), ``_minor`` of the weighted matrix, is det(I - diag(r**s)·counts) for s > s*
-    and a minor that is not positive otherwise; [lo, hi] keeps f(lo) <= 0 < f(hi).
+    f(s), ``_minor`` of the counts weighted by r**s inside its elimination, is
+    det(I - diag(r**s)·counts) for s > s* and a minor that is not positive otherwise;
+    [lo, hi] keeps f(lo) <= 0 < f(hi).
     Secant steps start once both ends have a value, an end kept twice in a row has
     its value halved, and a clamp tol/8 inside makes a step next to s* cross it next.
     """
@@ -340,8 +369,7 @@ def _float_guess(gds: GraphDirectedSystem, lo: float, hi: float, tol: float) -> 
         s = lo + f_lo * (lo - hi) / (f_hi - f_lo) if f_lo <= 0 < f_hi else mid
         s = min(max(s, lo + tol / 8), hi - tol / 8)
         s = s if lo < s < hi else mid  # tol/8 is below float resolution
-        weighted = [[w * c for c in row] for w, row in zip([r**s for r in ratios], gds.counts)]
-        f = _minor(weighted, 1.0, operator.truediv)
+        f = _minor(gds.counts, 1.0, operator.truediv, [r**s for r in ratios])
         if f > 0:
             f_lo /= 2 if moved > 0 else 1
             hi, f_hi, moved = s, f, 1
@@ -352,14 +380,15 @@ def _float_guess(gds: GraphDirectedSystem, lo: float, hi: float, tol: float) -> 
 
 
 def _lumped(gds: GraphDirectedSystem) -> GraphDirectedSystem:
-    """``gds`` with each class of vertices of equal ratio and equal row merged into its
-    first vertex, again until no two are equal; ``gds`` itself when none are. With L the
-    class indicator, R the class rows and w their weights r**s, the weighted matrix
-    L·diag(w)·R has the nonzero spectrum of diag(w)·R·L at every s: the merged vertices
-    with counts R·L."""
+    """``gds`` with each class of vertices of equal ratio (as an integer pair) and equal
+    row merged into its first vertex, again until no two are equal; ``gds`` itself when
+    none are. With L the class indicator, R the class rows and w their weights r**s, the
+    weighted matrix L·diag(w)·R has the nonzero spectrum of diag(w)·R·L at every s: the
+    merged vertices with counts R·L."""
     while True:
         classes: dict[tuple, int] = {}
-        of = [classes.setdefault((v.ratio, row), len(classes)) for v, row in zip(gds.vertices, gds.counts)]
+        keys = ((v.ratio.as_integer_ratio(), row) for v, row in zip(gds.vertices, gds.counts))
+        of = [classes.setdefault(key, len(classes)) for key in keys]
         if len(classes) == gds.size:
             return gds
         members = [[q for q, k in enumerate(of) if k == c] for c in range(len(classes))]
@@ -375,11 +404,14 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
     h where every weighted row sum is. The bracket is the cell [(k - 1/2)·w,
     (k + 1/2)·w] that holds s*, w the largest power of two not above ``tol``,
     cut to [0, h]. The exact test encloses each r**s between integers over
-    10**P, P ``GUARD_DIGITS`` beyond ``tol`` and doubled while undecided: a
-    lower enclosure not below one proves s <= s*, an upper one below one
-    proves s > s*. It tries the end nearest the float secant search's s*, its
-    neighbour, then steps doubling (from twice the guess's float spacing)
-    while the side repeats, then bisects the end index. Both searches run on
+    10**P, P ``GUARD_DIGITS`` beyond ``tol`` and doubled while undecided, as
+    ``_minor``'s row weights: a lower enclosure not below one proves s <= s*, an
+    upper one below one proves s > s*. A test neither decides (s* on a cell end)
+    is decided exactly when every r**s is rational (``_exact_powers``). Ratios
+    are keyed by their integer pairs (p, q), and their logs come from ``_log``'s
+    memo. It tries the end nearest the float secant search's s*, its neighbour,
+    then steps doubling (from twice the guess's float spacing) while the side
+    repeats, then bisects the end index. Both searches run on
     ``_lumped(gds)``, which has the same radius at every s.
     """
     check_tol(tol)
@@ -389,13 +421,15 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
         raise EmptyGraphError("graph-directed system has no edges")
 
     lumped = _lumped(gds)
-    if _below(lumped.counts, 1):
+    counts = lumped.counts
+    if _below(counts, 1):
         # Acyclic counts: the radius is zero at every exponent.
         return DimensionResult(0.0, (Fraction(0), Fraction(0)), 1)
-    ratios = sorted({v.ratio for v in lumped.vertices})
-    slots = [ratios.index(v.ratio) for v in lumped.vertices]
-    h, rows = 1, [(v.ratio, sum(row)) for v, row in zip(lumped.vertices, lumped.counts)]
-    while any(r.numerator**h * total >= r.denominator**h for r, total in rows):
+    pairs = [v.ratio.as_integer_ratio() for v in lumped.vertices]
+    ratios = list(dict.fromkeys(pairs))
+    slots = [ratios.index(pair) for pair in pairs]
+    h, rows = 1, [(p, q, sum(row)) for (p, q), row in zip(pairs, counts)]
+    while any(p**h * total >= q**h for p, q, total in rows):
         h *= 2
     # End j is (2j - 1)·half over 2**shift, half = w/2: end 0 lies below 0 and end hi not below h.
     half, shift = 1 << max(0, e := math.frexp(tol)[1] - 2), max(0, -e)  # w/2 = 2**e
@@ -407,16 +441,20 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
         """Whether s = n / 2**shift is proved at or below s*; False when it is proved above."""
         nonlocal steps, digits, bounds
         steps += 1
-        low, high = ([[w[k] * c for c in row] for k, row in zip(slots, lumped.counts)] for w in bounds(n))
-        if (above := _below(high, 10**digits)) or not _below(low, 10**digits):
+        low, high = ([w[k] for k in slots] for w in bounds(n))
+        scale = 10**digits
+        if (above := _below(counts, scale, weights=high)) or not _below(counts, scale, weights=low):
             return not above
+        if exact := _exact_powers(ratios, n, shift):
+            weights, den = exact
+            return not _below(counts, den, weights=[weights[k] for k in slots])
         if digits >= 64 * first:
             raise InternalError(f"no enclosure to {digits} digits decides the dimension test")
         digits, bounds = 2 * digits, _power_bounds(ratios, 2 * digits, shift)
         return at_or_below(n)
 
     # s* lies between the least and the largest s where a weighted row sum is one, give or take rounding.
-    cw = [math.log(t) / (math.log(r.denominator) - math.log(r.numerator)) if t else 0.0 for r, t in rows]
+    cw = [math.log(t) / (math.log(q) - math.log(p)) if t else 0.0 for p, q, t in rows]
     start = (max(0.0, min(cw) - tol), min(float(h), max(cw) + tol))
     guess = g if 0 <= (g := _float_guess(lumped, *start, tol)) <= h else 0.0
     (n, d), (un, ud) = guess.as_integer_ratio(), math.ulp(guess).as_integer_ratio()

@@ -1,6 +1,7 @@
 """Partition, cell digraph, spectral radius and the dimension solver."""
 
 import ast
+import decimal
 import io
 import json
 import math
@@ -50,7 +51,7 @@ from overlapifs import (
     validate,
 )
 from overlapifs.cli import main, parse_ifs_file
-from overlapifs.dimension import _below, _float_guess, _lumped
+from overlapifs.dimension import _below, _float_guess, _log, _lumped, _minor
 from overlapifs.system import DEFAULT_TOL
 
 QUAD_MATRIX = (
@@ -586,9 +587,9 @@ class TestFloatGuess:
         minor = overlapifs.dimension._minor
         floats = []
 
-        def counted(matrix, bound, divide=operator.floordiv):
+        def counted(matrix, bound, divide=operator.floordiv, weights=None):
             floats.append(divide is operator.truediv)
-            return minor(matrix, bound, divide)
+            return minor(matrix, bound, divide, weights)
 
         monkeypatch.setattr(overlapifs.dimension, "_minor", counted)
         for ifs in members:
@@ -628,12 +629,41 @@ class TestFloatGuess:
             floats = [[float(x) for x in row] for row in matrix]
             assert _below(matrix, bound) == _below(floats, float(bound), operator.truediv)
             assert _below(matrix, bound) == (rho < bound)
+            # Row weights applied inside the elimination give what the weighted matrix gives.
+            ints = [rng.randint(0, 5) for _ in range(n)]
+            weighted = [[w * x for x in row] for w, row in zip(ints, matrix)]
+            assert _minor(matrix, bound, operator.floordiv, ints) == _minor(weighted, bound)
+            reals = [rng.uniform(0.0, 2.0) for _ in range(n)]
+            weighted = [[w * x for x in row] for w, row in zip(reals, floats)]
+            assert _minor(floats, float(bound), operator.truediv, reals) == _minor(
+                weighted, float(bound), operator.truediv
+            )
             compared += 1
 
 
 def one_vertex(ratio: str, count: int) -> GraphDirectedSystem:
     """One vertex with a loop of the given count, so s* = log(count) / log(1/ratio)."""
     return GraphDirectedSystem((Vertex(1, Interval(F(0), F(1)), 1, F(ratio)),), ((count,),))
+
+
+def counted_logs(monkeypatch) -> list:
+    """Clear ``_log``'s memo and record each ``ln`` the solver computes as (argument, precision)."""
+    calls = []
+
+    class Counting(decimal.Context):
+        def ln(self, x):
+            calls.append((x, self.prec))
+            return super().ln(x)
+
+    monkeypatch.setattr(overlapifs.dimension, "Context", Counting)
+    _log.cache_clear()
+    return calls
+
+
+def conjugate(ifs: Ifs, rng: random.Random) -> Ifs:
+    """``ifs`` seen through a seeded change of coordinates y = a x + c: same ratios and counts."""
+    a, c = F(rng.randint(1, 30), rng.randint(2, 9)), F(rng.randint(-20, 20), rng.randint(2, 17))
+    return Ifs.from_maps([AffineMap(f.ratio, a * f.offset + c * (1 - f.ratio)) for f in ifs.maps])
 
 
 def undecided_bounds(ratios, digits, shift):
@@ -733,6 +763,57 @@ class TestCanonicalCell:
         assert raised.bracket == plain.bracket
         assert raised.iterations == plain.iterations + 1
 
+    def test_cold_solves_compute_each_log_once(self, uneven, monkeypatch):
+        # uneven's ratios 1/9 and 1/3 at the 26-digit working precision of tol 1e-12;
+        # computing them in every solve would take 20 logs.
+        members = [uneven, *(conjugate(uneven, random.Random(seed)) for seed in range(4))]
+        graphs = [gds for ifs in members for gds in solved_systems(ifs)]
+        calls = counted_logs(monkeypatch)
+        for gds in graphs:
+            solve_dimension(gds)
+        ctx = decimal.Context(prec=26)
+        assert sorted(calls) == [(ctx.divide(1, 9), 26), (ctx.divide(1, 3), 26)]
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-16])
+    def test_cold_and_warm_memo_give_identical_results(self, graphs, tol):
+        cold = []
+        for gds in graphs:
+            _log.cache_clear()
+            cold.append(solve_dimension(gds, tol))
+        for gds, result in zip(graphs, cold):
+            solve_dimension(gds, tol)
+            misses = _log.cache_info().misses
+            warm = solve_dimension(gds, tol)
+            assert _log.cache_info().misses == misses
+            assert (warm.bracket, warm.iterations) == (result.bracket, result.iterations)
+
+    def test_logs_are_kept_per_precision(self, quad, monkeypatch):
+        # 16 digits at 1e-12 and 22 at 1e-18, each with 10 working digits more; a
+        # doubled precision of 32 digits takes its own log too.
+        gds = solved_systems(quad)[0]
+        fine = solve_dimension(gds, 1e-18)
+        calls = counted_logs(monkeypatch)
+        solve_dimension(gds, 1e-12)
+        assert solve_dimension(gds, 1e-18) == fine
+        real, undecided = overlapifs.dimension._power_bounds, []
+
+        def first_undecided(ratios, digits, shift):
+            undecided.append(digits)
+            return (undecided_bounds if len(undecided) == 1 else real)(ratios, digits, shift)
+
+        monkeypatch.setattr(overlapifs.dimension, "_power_bounds", first_undecided)
+        solve_dimension(gds, 1e-12)
+        assert [prec for _, prec in calls] == [26, 32, 42]
+        assert {x for x, _ in calls} == {decimal.Decimal(1) / 5}
+
+    def test_cell_end_with_an_irrational_power_raises_internal_error(self):
+        # Counts of radius sqrt(2) with ratio 1/2 put s* = 1/2 on a cell end at w = 1,
+        # where (1/2)**(1/2) is irrational: no enclosure and no exact weight decides.
+        cell = Interval(F(0), F(1))
+        gds = GraphDirectedSystem(tuple(Vertex(i, cell, 1, F(1, 2)) for i in (1, 2)), ((0, 2), (1, 0)))
+        with pytest.raises(InternalError, match="256 digits"):
+            solve_dimension(gds, 1.0)
+
     def test_precision_cap_raises_internal_error(self, quad, data_dir, monkeypatch):
         precisions = []
 
@@ -748,10 +829,19 @@ class TestCanonicalCell:
         assert main(["dim", str(data_dir / "quad.ifs")], out) == 2
         assert out.getvalue().startswith("error: no enclosure")
 
-    def test_dimension_on_a_cell_end_raises_internal_error(self):
-        # s* = 1/2 is the end between the cells around 0 and 1 when w = 1.
-        with pytest.raises(InternalError, match="256 digits"):
-            solve_dimension(one_vertex("1/4", 2), 1.0)
+    def test_dimension_on_a_cell_end_is_decided_exactly(self):
+        # s* is the end between two cells (1/2 when w = 1, 1/4 when w = 1/2), where no
+        # enclosure decides; every r**s there is rational, so the radius 1 is proved
+        # exactly and s* is the bracket's lower end, cut to [0, h] with h = 1.
+        cases = [
+            ("1/4", 2, 1.0, (F(1, 2), F(1))),
+            ("1/9", 3, 1.0, (F(1, 2), F(1))),
+            ("1/16", 2, 0.5, (F(1, 4), F(3, 4))),
+        ]
+        for ratio, count, tol, bracket in cases:
+            result = solve_dimension(one_vertex(ratio, count), tol)
+            assert result.bracket == bracket
+            assert result.iterations <= 3
 
 
 class TestLargeMembers:
