@@ -91,15 +91,15 @@ class SymbolicPoint(_Value):
 def evaluate(ifs: Ifs, preperiod: Sequence[int], period: Sequence[int]) -> Fraction:
     """Exact value of an eventually periodic digit word.
 
-    The result does not change when the period word is rotated and the
-    preperiod extended consistently. A digit outside 1..m raises ValueError.
+    From the ``Ifs.word_triple`` maps (a, b, c) of the period and (p, q, r) of the preperiod
+    it is (p*b + q*(c - a)) / (r*(c - a)), reduced once, and unchanged when the period is
+    rotated and the preperiod extended consistently. A digit outside 1..m raises ValueError.
     """
     if not period:
         raise ValueError("period word must be nonempty")
-    x = ifs.compose_word(period).fixed_point()
-    for d in reversed(preperiod):
-        x = ifs.map(d)(x)
-    return x
+    a, b, c = ifs.word_triple(period)
+    p, q, r = ifs.word_triple(preperiod)
+    return Fraction(p * b + q * (c - a), r * (c - a))
 
 
 def symbolic_point(ifs: Ifs, preperiod: Sequence[int], period: Sequence[int]) -> SymbolicPoint:
@@ -554,7 +554,8 @@ def make_witness(
     tail; which recipe applies depends on whether an extreme neighbour pair
     overlaps. The result is classified before being returned, and a mismatch
     or a check cut short by a limit raises WitnessVerificationError, so a
-    returned witness is always sound. Impossible targets (countable, or a
+    returned witness is always sound; a finite target whose preperiod has at
+    least ``max_nodes`` digits raises it before the word is built. Impossible targets (countable, or a
     non power of two, when both extreme pairs are disjoint) raise
     UnreachableTargetError, and a target that is unknown or finite below 1
     raises ValueError.
@@ -567,6 +568,7 @@ def make_witness(
     case = end_case(ifs, report)
     m = ifs.m
     tail: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    length = 0  # of the preperiod, where a finite target's can pass max_nodes
 
     if target.kind == "countable":
         if case.tag == "no-end-overlap":
@@ -584,30 +586,31 @@ def make_witness(
     else:
         k = target.count
         if case.tag == "end-overlap":
-            s = k - 1
             if case.right_overlaps and not case.left_overlaps:
                 spec = report.overlap_at(m - 1)
                 assert spec is not None
                 tail = (2,), (1,)
-                head = (m,) + (1,) * (spec.v * s)
+                lead, block, s = (m,), (1,), spec.v * (k - 1)
             else:
                 spec = report.overlap_at(1)
                 assert spec is not None
                 # When both ends overlap, anchor the tail at the smallest disjoint middle pair.
                 first = min(report.disjoint_pairs) if case.right_overlaps else m - 1
                 tail = (first,), (m,)
-                head = (1,) + (m,) * (spec.u * s)
-            pre, per = head + tail[0], tail[1]
+                lead, block, s = (1,), (m,), spec.u * (k - 1)
         else:
             if k & (k - 1):
                 raise UnreachableTargetError(
                     f"only powers of two occur when both extreme pairs are disjoint, not {k}"
                 )
-            s = k.bit_length() - 1
             spec = report.overlaps[0]
-            block = (spec.index,) + (m,) * spec.u
             tail = (1,), (m,)
-            pre, per = block * s + tail[0], tail[1]
+            lead, block, s = (), (spec.index,) + (m,) * spec.u, k.bit_length() - 1
+        # The residuals along the witness's coding are distinct (one met twice would repeat a
+        # block forever: infinitely many codings), so P preperiod digits take P + 1 nodes. A
+        # word that cannot fit is not built: it is cut to its tail, whose check still comes first.
+        length = len(lead) + len(block) * s + 1
+        pre, per = (lead + block * s if length < max_nodes else ()) + tail[0], tail[1]
 
     point = symbolic_point(ifs, pre, per)
     # The witness word ends in the tail, so one batch classifies both over shared residuals.
@@ -618,6 +621,11 @@ def make_witness(
         cut = f": it {_limit_hint(checked[0].limit, max_nodes, max_depth)}" if checked[0].limit else ""
         raise WitnessVerificationError(
             f"tail {points[0]} was expected to have a unique coding, classifier says {checked[0]}{cut}"
+        )
+    if length >= max_nodes:
+        raise WitnessVerificationError(
+            f"the witness for {target} has a preperiod of {length} digits, each with its own "
+            f"residual, so its classification would {_limit_hint('max_nodes', max_nodes, max_depth)}"
         )
     if verdict.kind == "unknown":
         raise WitnessVerificationError(

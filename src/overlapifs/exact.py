@@ -153,10 +153,6 @@ class AffineMap(_Value):
     def __call__(self, x: Fraction) -> Fraction:
         return self.ratio * x + self.offset
 
-    def compose(self, inner: AffineMap) -> AffineMap:
-        """``self`` after ``inner``: the returned map sends x to self(inner(x))."""
-        return AffineMap(self.ratio * inner.ratio, self.ratio * inner.offset + self.offset)
-
     def fixed_point(self) -> Fraction:
         """The unique x with map(x) = x, exactly offset / (1 - ratio)."""
         return self.offset / (1 - self.ratio)

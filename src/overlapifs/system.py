@@ -69,6 +69,12 @@ class NestedImageError(InternalError):
     """A system that passed every check has one hull image inside another."""
 
 
+def compose_triples(outer: tuple[int, int, int], inner: tuple[int, int, int]) -> tuple[int, int, int]:
+    """``outer`` after ``inner``, maps as unreduced triples ``(a, b, c)``: x -> (a*x + b) / c."""
+    (a, b, c), (p, q, r) = outer, inner
+    return a * p, a * q + b * r, c * r
+
+
 class Ifs(_Value):
     """An ordered list of similitudes together with the derived convex hull.
 
@@ -114,7 +120,8 @@ class Ifs(_Value):
     def integer_maps(self) -> tuple[tuple[int, int, int], ...]:
         """Each map as integers ``(a, b, c)`` over one common ``c``: x -> (a*x + b) / c."""
         c = lcm(*(v.denominator for f in self.maps for v in (f.ratio, f.offset)))
-        return tuple((int(f.ratio * c), int(f.offset * c), c) for f in self.maps)
+        return tuple((f.ratio.numerator * c // f.ratio.denominator,
+                      f.offset.numerator * c // f.offset.denominator, c) for f in self.maps)
 
     def _index(self, digit: int) -> int:
         if not 1 <= digit <= self.m:
@@ -129,14 +136,20 @@ class Ifs(_Value):
         """Image of the hull under one map."""
         return self.pieces[self._index(digit)]
 
+    def word_triple(self, word: Sequence[int]) -> tuple[int, int, int]:
+        """The one unreduced ``integer_maps`` triple of a word, (1, 0, 1) if empty, composed by
+        halves: neighbours pair up, level by level, where a left fold takes quadratic time."""
+        maps = [self.integer_maps[self._index(d)] for d in word] or [(1, 0, 1)]
+        while len(maps) > 1:
+            maps = [*map(compose_triples, maps[::2], maps[1::2]), *maps[len(maps) & ~1:]]
+        return maps[0]
+
     def compose_word(self, word: Sequence[int]) -> AffineMap:
-        """Left-to-right composition: the first digit's map is applied last."""
+        """Left-to-right composition, ``word_triple`` reduced once: the first digit's map is applied last."""
         if not word:
             raise ValueError("empty word")
-        out = self.map(word[0])
-        for d in word[1:]:
-            out = out.compose(self.map(d))
-        return out
+        a, b, c = self.word_triple(word)
+        return AffineMap(Fraction(a, c), Fraction(b, c))
 
 
 class OverlapSpec(_Value):

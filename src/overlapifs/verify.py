@@ -28,7 +28,9 @@ from .dimension import (
     solve_dimension,
 )
 from .exact import _Value
-from .system import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, DEFAULT_TOL, Ifs, ValidationReport, end_case
+from .system import (
+    DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, DEFAULT_TOL, Ifs, ValidationReport, compose_triples, end_case,
+)
 
 __all__ = [
     "CheckResult",
@@ -83,8 +85,8 @@ def dichotomy_sweep(
     within the bounds, up to ``cap`` (>= 0) points, skipping words whose value an
     earlier word has: a period u^k (k >= 2) has period u's, and a preperiod ending
     in the period's last digit p_k has that of the preperiod one shorter with
-    period p_k p_1 .. p_(k-1). A word's map (a, b, c), x -> (a x + b) / c, extends
-    the word one digit shorter by one of ``Ifs.integer_maps``; its value, the
+    period p_k p_1 .. p_(k-1). A word's map (a, b, c), x -> (a x + b) / c, is ``compose_triples``
+    of the word one digit shorter's and one of ``Ifs.integer_maps``; its value, the
     preperiod's map at the period's fixed point, goes as a reduced integer pair
     straight into one residual table, with no Fraction built. Returns tallies of
     the verdicts, the limits behind unknown ones, and any that break the
@@ -95,9 +97,9 @@ def dichotomy_sweep(
     levels = [[((), (1, 0, 1))]]  # the words of each length with their maps, from the identity
     for _ in range(max(max_preperiod, max_period)):
         levels.append([
-            (w + (d,), (a * p, a * q + b * r, c * r))
-            for w, (a, b, c) in levels[-1]
-            for d, (p, q, r) in enumerate(ifs.integer_maps, 1)
+            (w + (d,), compose_triples(f, g))
+            for w, f in levels[-1]
+            for d, g in enumerate(ifs.integer_maps, 1)
         ])
     heads = [word for n in range(max_preperiod + 1) for word in levels[n]]
     # primitive periods with fixed point b / (c - a); after[d]: those not ending in d (d=0: all)

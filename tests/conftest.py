@@ -221,6 +221,25 @@ def mpmath_dimension(counts, ratios, digits: int = 40):
         return +root
 
 
+def fold_word(ifs: Ifs, word) -> tuple[F, F]:
+    """A word's map x -> ratio*x + offset as ``(ratio, offset)``, the first digit's
+    map applied last, folded in Fractions one digit at a time ((1, 0) when empty):
+    the reference for ``Ifs.word_triple``, ``Ifs.compose_word`` and ``evaluate``,
+    sharing none of their integer arithmetic."""
+    ratio, offset = F(1), F(0)
+    for d in word:
+        f = ifs.map(d)
+        ratio, offset = ratio * f.ratio, ratio * f.offset + offset
+    return ratio, offset
+
+
+def fold_value(ifs: Ifs, preperiod, period) -> F:
+    """The value of an eventually periodic word by ``fold_word``: the preperiod's
+    map at the fixed point offset / (1 - ratio) of the period's."""
+    (r, b), (p, q) = fold_word(ifs, period), fold_word(ifs, preperiod)
+    return p * b / (1 - r) + q
+
+
 def sweep_words(ifs: Ifs, max_preperiod: int = 4, max_period: int = 3, cap: int = 5000) -> dict:
     """The points of ``dichotomy_sweep``, one word at a time in Fractions.
 
@@ -228,22 +247,22 @@ def sweep_words(ifs: Ifs, max_preperiod: int = 4, max_period: int = 3, cap: int 
     sweep's order and up to its cap (none at 0; a negative cap raises
     ValueError): the slow reference for the sweep's batch of values. Each
     period's fixed point and each preperiod's composed map are taken once,
-    with ``Ifs.compose_word``, and a word's value is its preperiod's map at
-    its period's fixed point, as ``evaluate`` gives it.
+    with ``fold_word``, and a word's value is its preperiod's map at its
+    period's fixed point, as ``fold_value`` gives it.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     digits = range(1, ifs.m + 1)
     pres = [w for n in range(max_preperiod + 1) for w in product(digits, repeat=n)]
     pers = [w for n in range(1, max_period + 1) for w in product(digits, repeat=n)]
-    fixed = [(per, ifs.compose_word(per).fixed_point()) for per in pers]
+    fixed = [(per, b / (1 - r)) for per in pers for r, b in [fold_word(ifs, per)]]
     words: dict = {}
     for pre in pres:
-        head = ifs.compose_word(pre) if pre else (lambda x: x)
+        p, q = fold_word(ifs, pre)
         for per, x in fixed:
             if len(words) >= cap:
                 return words
-            words.setdefault(head(x), (pre, per))
+            words.setdefault(p * x + q, (pre, per))
     return words
 
 

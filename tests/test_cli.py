@@ -389,6 +389,21 @@ class TestWitnessCommand:
         assert code == 0
         assert "kind: constructed" in text
 
+    # A preperiod of P digits passes P + 1 distinct residuals, so a word of at least
+    # max_nodes digits cannot be verified: it is not built (quad's finite(10^20 - 1)
+    # word would not fit in memory), and the error names the flag that raises the limit.
+    @pytest.mark.parametrize(
+        "system,target,length",
+        [("quad", "finite:99999999999999999999", 10**20), ("uneven", "finite:10000", 20000),
+         ("noend", f"finite:{2**5000}", 10001)],
+    )
+    def test_target_too_large_to_build_exits_two(self, data_dir, system, target, length):
+        code, text = run(["witness", str(data_dir / f"{system}.ifs"), "--target", target])
+        assert code == 2
+        (line,) = text.splitlines()
+        assert line.startswith(f"error: the witness for finite({target[7:]}) has a preperiod of {length} digits")
+        assert line.endswith("hit max_nodes=4096; raise it with --max-nodes")
+
 
 class TestVerifyCommand:
     def test_theorem_one_passes_on_quad(self, quad_file):

@@ -4,6 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
@@ -38,6 +39,7 @@ from overlapifs import (
     evaluate,
     make_witness,
     symbolic_point,
+    validate,
 )
 from overlapifs.codings import _facts
 from overlapifs.system import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES
@@ -729,6 +731,15 @@ class TestCountableTailStructure:
             assert g.adjacency.get(b, {}).get(4) == b or g.adjacency.get(a, {}).get(1) == a
 
 
+@cache
+def _witness_systems() -> list[Ifs]:
+    """The checked-in systems, then 30 equal-ratio and 30 unequal-ratio members."""
+    rng = random.Random(5)
+    systems = [Ifs.from_maps(maps()) for maps in (quad_maps, noend_maps, uneven_maps)]
+    systems += [random_member(rng)[0] for _ in range(30)]
+    return systems + [random_unequal_member(rng) for _ in range(30)]
+
+
 class TestWitnesses:
     def test_quad_finite_two_matches_known_value(self, quad, quad_report):
         w = make_witness(quad, quad_report, Cardinality.finite(2))
@@ -776,6 +787,47 @@ class TestWitnesses:
         with pytest.raises(WitnessVerificationError, match=re.escape(expected)) as caught:
             make_witness(ifs, report, Cardinality.finite(target), max_nodes=1)
         assert str(caught.value).endswith("(max_nodes): it hit max_nodes=1; raise it with --max-nodes")
+
+    # A finite witness's preperiod of P digits gives P + 1 distinct residuals, so at
+    # P >= max_nodes its check must fail: make_witness says so before building the word
+    # (once the tail's own check has passed). Each witness word, taken at the default
+    # limits, is checked again here with the batch make_witness would classify.
+    @pytest.mark.parametrize("index", range(63))
+    def test_word_too_long_for_max_nodes_raises_only_where_the_check_fails(self, index):
+        ifs = _witness_systems()[index]
+        report = validate(ifs)
+        words = {}
+        for k in range(1, 72):
+            try:
+                words[k] = make_witness(ifs, report, Cardinality.finite(k))
+            except UnreachableTargetError:
+                pass
+        unique = Cardinality.finite(1)
+        for max_nodes in (8, 16, 24):
+            for k in range(1, 3 * max_nodes):
+                if k not in words:
+                    continue
+                word, target = words[k], Cardinality.finite(k)
+                tail = evaluate(ifs, word.preperiod[-1:], word.period)
+                verdicts = classify_many(ifs, [tail, word.value], max_nodes)
+                length = len(word.preperiod)
+                try:
+                    got = make_witness(ifs, report, target, max_nodes)
+                except WitnessVerificationError as exc:
+                    early = f"has a preperiod of {length} digits" in str(exc)
+                    assert early == (length >= max_nodes and verdicts[0] == unique)
+                    assert verdicts != [unique, target]
+                    if early:
+                        assert str(exc).endswith(f"hit max_nodes={max_nodes}; raise it with --max-nodes")
+                else:
+                    assert got == word and length < max_nodes and verdicts == [unique, target]
+
+    def test_word_of_exactly_max_nodes_digits_raises(self, quad, quad_report):
+        # quad's finite(k) witness has k + 1 digits before its period
+        for k, max_nodes in ((7, 8), (15, 16), (23, 24)):
+            assert len(make_witness(quad, quad_report, Cardinality.finite(k)).preperiod) == max_nodes
+            with pytest.raises(WitnessVerificationError, match=f"preperiod of {max_nodes} digits"):
+                make_witness(quad, quad_report, Cardinality.finite(k), max_nodes)
 
     def test_witnesses_are_deterministic(self, quad, quad_report):
         a = make_witness(quad, quad_report, Cardinality.finite(3))

@@ -89,23 +89,25 @@ class TestAffineMap:
         with pytest.raises(ValueError):
             AffineMap(F(-1, 2), F(0))
 
+    # Maps compose through ``Ifs.compose_word``: a word names its maps by digit,
+    # and the first digit's map is applied last.
     def test_compose_expansion(self):
         # (x/5) after (x/5 + 4/5) is x/25 + 4/25; checked at sample points too
         f = AffineMap(F(1, 5), F(0))
         g = AffineMap(F(1, 5), F(4, 5))
-        h = f.compose(g)
+        h = Ifs.from_maps([f, g]).compose_word((1, 2))
         assert h == AffineMap(F(1, 25), F(4, 25))
         for x in (F(0), F(1), F(5)):
             assert h(x) == f(g(x))
 
     def test_compose_self(self):
         f = AffineMap(F(1, 2), F(0))
-        assert f.compose(f) == AffineMap(F(1, 4), F(0))
+        assert Ifs.from_maps([f]).compose_word((1, 1)) == AffineMap(F(1, 4), F(0))
 
     def test_compose_other_order(self):
         f = AffineMap(F(1, 5), F(4, 5))
         g = AffineMap(F(1, 5), F(0))
-        h = f.compose(g)
+        h = Ifs.from_maps([f, g]).compose_word((2, 1))
         assert h == AffineMap(F(1, 25), F(4, 5))
         for x in (F(0), F(1), F(5)):
             assert h(x) == f(g(x))
@@ -228,10 +230,21 @@ _ratios = st.fractions(min_value=F(1, 50), max_value=F(49, 50), max_denominator=
 _coords = st.fractions(min_value=F(-10), max_value=F(10), max_denominator=60)
 
 
-@given(r1=_ratios, b1=_coords, r2=_ratios, b2=_coords, x=_coords)
-def test_compose_agrees_pointwise(r1, b1, r2, b2, x):
+@given(
+    r1=_ratios, b1=_coords, r2=_ratios, b2=_coords, x=_coords,
+    word=st.lists(st.integers(1, 2), min_size=1, max_size=12),
+)
+def test_compose_agrees_pointwise(r1, b1, r2, b2, x, word):
     f, g = AffineMap(r1, b1), AffineMap(r2, b2)
-    assert f.compose(g)(x) == f(g(x))
+    ifs = Ifs.from_maps([f, g])
+    if ifs.maps[0] == f:
+        assert ifs.compose_word((1, 2))(x) == f(g(x))
+    if ifs.maps[-1] == f:
+        assert ifs.compose_word((2, 1))(x) == f(g(x))
+    y = x
+    for d in reversed(word):  # the maps applied right to left
+        y = ifs.map(d)(y)
+    assert ifs.compose_word(word)(x) == y
 
 
 @given(r=_ratios, b=_coords, x=_coords)

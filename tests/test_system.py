@@ -1,11 +1,21 @@
-"""Validator, overlap parameter search and the end-pair case split."""
+"""Validator, overlap parameter search, word composition and the end-pair case split."""
 
 import random
+import time
 from fractions import Fraction as F
+from functools import cache, reduce
 
 import pytest
 
-from conftest import member_instances, noend_maps, quad_maps
+from conftest import (
+    fold_value,
+    fold_word,
+    member_instances,
+    noend_maps,
+    quad_maps,
+    random_unequal_member,
+    uneven_maps,
+)
 from overlapifs import (
     AffineMap,
     Condition,
@@ -14,8 +24,10 @@ from overlapifs import (
     NestedImageError,
     Violation,
     end_case,
+    evaluate,
     validate,
 )
+from overlapifs.system import compose_triples
 
 
 class TestIfs:
@@ -54,6 +66,72 @@ class TestIfs:
             quad.map(0)
         with pytest.raises(ValueError):
             quad.map(5)
+
+
+@cache
+def _word_systems() -> list[Ifs]:
+    """The three checked-in systems and seeded members, equal-ratio and unequal."""
+    rng = random.Random(23)
+    systems = [Ifs.from_maps(maps()) for maps in (quad_maps, noend_maps, uneven_maps)]
+    systems += [ifs for ifs, _ in member_instances(seed=23, count=4)]
+    return systems + [random_unequal_member(rng) for _ in range(4)]
+
+
+@cache
+def _long_quad_word() -> tuple[int, ...]:
+    """100,000 random digits of quad, a word the old one-digit-at-a-time fold took minutes on."""
+    rng = random.Random(100_000)
+    return tuple(rng.randint(1, 4) for _ in range(100_000))
+
+
+class TestWordTriple:
+    """``Ifs.word_triple`` composes a word by halves; ``compose_word`` and ``evaluate``
+    read it. Each must equal ``fold_word``, the one-digit-at-a-time Fraction fold."""
+
+    @pytest.mark.parametrize("index", range(len(_word_systems())))
+    def test_matches_fraction_fold(self, index):
+        ifs = _word_systems()[index]
+        rng = random.Random(index)
+        for length in (1, 2, 3, rng.randint(4, 100), rng.randint(100, 2000), 2000):
+            word = tuple(rng.randint(1, ifs.m) for _ in range(length))
+            ratio, offset = fold_word(ifs, word)
+            a, b, c = ifs.word_triple(word)
+            assert (F(a, c), F(b, c)) == (ratio, offset)
+            assert ifs.compose_word(word) == AffineMap(ratio, offset)
+            period = tuple(rng.randint(1, ifs.m) for _ in range(rng.randint(1, 6)))
+            assert evaluate(ifs, word, period) == fold_value(ifs, word, period)
+            assert evaluate(ifs, period[:1], word) == fold_value(ifs, period[:1], word)
+        assert ifs.word_triple(()) == (1, 0, 1)
+        assert evaluate(ifs, (), (1,)) == fold_value(ifs, (), (1,)) == ifs.hull.lo
+
+    def test_error_texts(self, quad):
+        with pytest.raises(ValueError, match=r"^empty word$"):
+            quad.compose_word(())
+        with pytest.raises(ValueError, match=r"^period word must be nonempty$"):
+            evaluate(quad, (1,), ())
+        for word in ((0,), (1, 5), (2, 3, -1, 4)):
+            bad = next(d for d in word if not 1 <= d <= 4)
+            for call in (quad.word_triple, quad.compose_word, lambda w: evaluate(quad, w, (1,))):
+                with pytest.raises(ValueError, match=rf"^digit {bad} outside 1\.\.4$"):
+                    call(word)
+        with pytest.raises(ValueError, match=r"^digit 7 outside"):  # the period is read first
+            evaluate(quad, (5,), (7,))
+
+    def test_long_word_composes_and_evaluates_quickly(self, quad):
+        word = _long_quad_word()
+        start = time.perf_counter()
+        composed = quad.compose_word(word)
+        assert time.perf_counter() - start < 5
+        start = time.perf_counter()
+        value = evaluate(quad, word, (4,))
+        assert time.perf_counter() - start < 5
+        assert composed.ratio == F(1, 5**100_000)
+        assert value == composed(F(1))  # the fixed point of map 4 is the hull's right end
+
+    def test_split_equals_the_step_folded(self, quad):
+        word = _long_quad_word()
+        folded = reduce(compose_triples, [quad.integer_maps[d - 1] for d in word])
+        assert quad.word_triple(word) == folded
 
 
 class TestValidateMembers:

@@ -220,7 +220,7 @@ def _sweep_systems():
 
 
 class TestSweepPoints:
-    """The integer build of the sweep's points equals ``sweep_words``, one ``evaluate`` per word."""
+    """The integer build of the sweep's points equals ``sweep_words``, one Fraction fold per word."""
 
     @staticmethod
     def handed_over(monkeypatch, ifs, **bounds):
