@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .exact import AffineMap, _Value, format_rational, parse_rational
@@ -25,8 +24,6 @@ EXIT_OK = 0
 EXIT_NOT_MEMBER = 1
 EXIT_UNDECIDED = 2
 EXIT_PARSE = 3
-
-_NINE_PLACES = Decimal("0.000000001")
 
 
 class IfsFileError(ValueError):
@@ -50,8 +47,8 @@ def parse_ifs_file(text: str) -> IfsFile:
     """Parse the description grammar.
 
     Lines are either blank, comments starting with ``#``, an optional
-    ``name <text>`` line, or ``map r=<rational> b=<rational>``. Duplicate
-    maps and ratios outside (0, 1) are rejected.
+    ``name <text>`` line, or ``map r=<rational> b=<rational>``. A second name
+    line, duplicate maps and ratios outside (0, 1) are rejected.
     """
     maps: list[AffineMap] = []
     name: str | None = None
@@ -63,6 +60,8 @@ def parse_ifs_file(text: str) -> IfsFile:
         if tokens[0] == "name":
             if len(tokens) < 2:
                 raise IfsFileError(lineno, "name line needs a value")
+            if name is not None:
+                raise IfsFileError(lineno, "duplicate name line")
             name = line[len("name") :].strip()
             continue
         if tokens[0] != "map":
@@ -86,14 +85,10 @@ def parse_ifs_file(text: str) -> IfsFile:
 
 
 def dec(x) -> str:
-    """Deterministic 9-place decimal rendering, round half to even."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        if isinstance(x, Fraction):
-            d = Decimal(x.numerator) / Decimal(x.denominator)
-        else:
-            d = Decimal(x)
-        return format(d.quantize(_NINE_PLACES, rounding=ROUND_HALF_EVEN), "f")
+    """Deterministic 9-place decimal rendering, round half to even, exact at any size."""
+    whole, places = divmod(abs(round(Fraction(x) * 10**9)), 10**9)
+    sign = "-" if x < 0 or x == 0 and str(x) == "-0.0" else ""  # -1e-12 and -0.0 print as -0.000000000
+    return f"{sign}{whole}.{places:09d}"
 
 
 def _rat(x: Fraction) -> dict:
@@ -146,34 +141,9 @@ def _validation_section(ifs: Ifs, report: ValidationReport) -> dict:
     return section
 
 
-def _dimension_section(result) -> dict:
-    return {
-        "value": dec(result.value),
-        "bracket": {
-            "lo": _rat(result.bracket[0]),
-            "hi": _rat(result.bracket[1]),
-        },
-        "iterations": result.iterations,
-        "method": result.method,
-    }
-
-
-def _emit(report: dict, args, out) -> None:
-    if getattr(args, "json", None):
-        import json
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    _render_text(report, out)
-
-
-def _is_scalar(value) -> bool:
-    return not isinstance(value, (dict, list))
-
-
 def _inline(value) -> str | None:
     """Compact one-line form for small common shapes, else None."""
-    if _is_scalar(value):
+    if not isinstance(value, (dict, list)):
         return str(value)
     if isinstance(value, dict):
         if set(value) == {"exact", "decimal"}:
@@ -184,78 +154,42 @@ def _inline(value) -> str | None:
                 return f"{lo} .. {hi}"
         if set(value) == {"r", "b"}:
             return f"r={value['r']} b={value['b']}"
-    if isinstance(value, list) and all(_is_scalar(x) for x in value):
+    if isinstance(value, list) and not any(isinstance(x, (dict, list)) for x in value):
         return "[" + ", ".join(str(x) for x in value) + "]"
     return None
 
 
 def _render_text(node, out, indent: int = 0) -> None:
-    pad = "  " * indent
-    if isinstance(node, dict):
-        for key, value in node.items():
-            line = _inline(value)
-            if line is not None:
-                print(f"{pad}{key}: {line}", file=out)
-            else:
-                print(f"{pad}{key}:", file=out)
-                _render_text(value, out, indent + 1)
-    elif isinstance(node, list):
-        for value in node:
-            line = _inline(value)
-            if line is not None:
-                print(f"{pad}- {line}", file=out)
-            else:
-                print(f"{pad}-", file=out)
-                _render_text(value, out, indent + 1)
-    else:
-        print(f"{pad}{node}", file=out)
+    is_dict = isinstance(node, dict)
+    for key, value in node.items() if is_dict else enumerate(node):
+        label = "  " * indent + (f"{key}:" if is_dict else "-")
+        line = _inline(value)
+        print(label if line is None else f"{label} {line}", file=out)
+        if line is None:
+            _render_text(value, out, indent + 1)
 
 
-def _load(path: str) -> tuple[IfsFile, Ifs]:
-    with open(path, "r", encoding="utf-8") as fh:
-        source = parse_ifs_file(fh.read())
-    return source, Ifs.from_maps(source.maps)
+def _cmd_validate(args, ifs: Ifs, report: ValidationReport) -> tuple[dict, int]:
+    return {"validation": _validation_section(ifs, report)}, EXIT_OK if report.member else EXIT_NOT_MEMBER
 
 
-def _cmd_validate(args, out) -> int:
-    source, ifs = _load(args.file)
-    report = validate(ifs)
-    doc = {
-        "command": "validate",
-        "system": _system_section(source, ifs),
-        "validation": _validation_section(ifs, report),
-    }
-    _emit(doc, args, out)
-    return EXIT_OK if report.member else EXIT_NOT_MEMBER
+def _cell_system(args, ifs: Ifs, report: ValidationReport, reduced: bool = False):
+    """Partition, the cell graph (or its reduced system) and its ``--dot`` file."""
+    from .dimension import build_graph, build_partition, reduced_system, to_dot
 
-
-class _NotMember(Exception):
-    """The system failed validation; the reason has been printed."""
-
-
-def _load_member(args, out) -> tuple[IfsFile, Ifs, ValidationReport]:
-    source, ifs = _load(args.file)
-    report = validate(ifs)
-    if not report.member:
-        assert report.violation is not None
-        print(
-            f"system is not a member: {report.violation.condition.value} "
-            f"({report.violation.detail})",
-            file=out,
-        )
-        raise _NotMember
-    return source, ifs, report
-
-
-def _cmd_partition(args, out) -> int:
-    from .dimension import build_graph, build_partition, to_dot
-
-    source, ifs, report = _load_member(args, out)
     part = build_partition(ifs, report)
     gds = build_graph(ifs, part)
-    doc = {
-        "command": "partition",
-        "system": _system_section(source, ifs),
+    if reduced:
+        gds = reduced_system(ifs, part, gds)
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(to_dot(gds))
+    return part, gds
+
+
+def _cmd_partition(args, ifs: Ifs, report: ValidationReport) -> tuple[dict, int]:
+    part, gds = _cell_system(args, ifs, report)
+    fields = {
         "partition": {
             "points": [_rat(p) for p in part.points],
             "gamma": part.gamma,
@@ -270,49 +204,38 @@ def _cmd_partition(args, out) -> int:
         },
         "matrix": [list(row) for row in gds.counts],
     }
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(gds))
-    _emit(doc, args, out)
-    return EXIT_OK
+    return fields, EXIT_OK
 
 
-def _cmd_dim(args, out) -> int:
-    from .dimension import build_graph, build_partition, reduced_system, solve_dimension, to_dot
+def _cmd_dim(args, ifs: Ifs, report: ValidationReport) -> tuple[dict, int]:
+    from .dimension import solve_dimension
 
-    source, ifs, report = _load_member(args, out)
-    part = build_partition(ifs, report)
-    gds = build_graph(ifs, part)
-    selected = gds
-    note = None
+    _, selected = _cell_system(args, ifs, report, reduced=args.set == "U1")
+    result = solve_dimension(selected, tol=args.tol)
+    fields = {
+        "matrix": [list(row) for row in selected.counts],
+        "dimension": {
+            "value": dec(result.value),
+            "bracket": {
+                "lo": _rat(result.bracket[0]),
+                "hi": _rat(result.bracket[1]),
+            },
+            "iterations": result.iterations,
+            "method": result.method,
+        },
+    }
     if args.set == "U1":
-        selected = reduced_system(ifs, part, gds)
-        note = (
+        fields["note"] = (
             "dimension of the reduced system; it bounds the single-coding set and matches "
             "its dimension through the worked graph-directed construction"
         )
-    result = solve_dimension(selected, tol=args.tol)
-    doc = {
-        "command": "dim",
-        "set": args.set,
-        "system": _system_section(source, ifs),
-        "matrix": [list(row) for row in selected.counts],
-        "dimension": _dimension_section(result),
-    }
-    if note:
-        doc["note"] = note
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(selected))
-    _emit(doc, args, out)
-    return EXIT_OK
+    return fields, EXIT_OK
 
 
-def _cmd_classify(args, out) -> int:
+def _cmd_classify(args, ifs: Ifs, report: ValidationReport) -> tuple[dict, int]:
     from .codings import PointNotInAttractorError, SymbolicPoint, build_residual_graph
     from .codings import classify_cardinality, enumerate_codings
 
-    source, ifs, report = _load_member(args, out)
     try:
         point = SymbolicPoint.parse(args.point, ifs)
     except ValueError as exc:
@@ -320,14 +243,11 @@ def _cmd_classify(args, out) -> int:
     graph = build_residual_graph(ifs, point.value, args.max_nodes, args.max_depth)
     try:
         verdict = classify_cardinality(graph)
-    except PointNotInAttractorError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_UNDECIDED
+    except PointNotInAttractorError as exc:  # a parsed point always has a path: a failed check
+        raise InternalError(str(exc)) from exc
     prefix_depth = 4
     words = enumerate_codings(ifs, point.value, prefix_depth, graph=graph)
-    doc = {
-        "command": "classify",
-        "system": _system_section(source, ifs),
+    fields = {
         "point": {
             "text": str(point),
             "value": _rat(point.value),
@@ -348,42 +268,28 @@ def _cmd_classify(args, out) -> int:
             "words": [",".join(str(d) for d in w) for w in words],
         },
     }
-    _emit(doc, args, out)
-    return EXIT_OK if verdict.kind != "unknown" else EXIT_UNDECIDED
+    return fields, EXIT_OK if verdict.kind != "unknown" else EXIT_UNDECIDED
 
 
-def _cmd_witness(args, out) -> int:
+def _cmd_witness(args, ifs: Ifs, report: ValidationReport) -> tuple[dict, int]:
     from .codings import Cardinality, UnreachableTargetError, make_witness
 
-    source, ifs, report = _load_member(args, out)
     try:
         target = Cardinality.parse(args.target)
     except ValueError as exc:
         raise IfsFileError(None, f"bad --target: {exc}") from exc
-    doc: dict = {
-        "command": "witness",
-        "system": _system_section(source, ifs),
-        "target": args.target,
-    }
     try:
         point = make_witness(ifs, report, target, args.max_nodes, args.max_depth)
     except UnreachableTargetError as exc:
-        doc["result"] = {"kind": "unreachable", "reason": str(exc)}
-        _emit(doc, args, out)
-        return EXIT_OK
-    doc["result"] = {
-        "kind": "constructed",
-        "point": str(point),
-        "value": _rat(point.value),
-    }
-    _emit(doc, args, out)
-    return EXIT_OK
+        result = {"kind": "unreachable", "reason": str(exc)}
+    else:
+        result = {"kind": "constructed", "point": str(point), "value": _rat(point.value)}
+    return {"target": args.target, "result": result}, EXIT_OK
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args, ifs: Ifs, report: ValidationReport) -> tuple[dict, int]:
     from .verify import run_theorem_harness
 
-    source, ifs, report = _load_member(args, out)
     result = run_theorem_harness(
         ifs,
         report,
@@ -392,10 +298,7 @@ def _cmd_verify(args, out) -> int:
         max_nodes=args.max_nodes,
         max_depth=args.max_depth,
     )
-    doc = {
-        "command": "verify",
-        "theorem": args.theorem,
-        "system": _system_section(source, ifs),
+    fields = {
         "applicable": result.applicable,
         "passed": result.passed,
         "checks": [
@@ -404,11 +307,19 @@ def _cmd_verify(args, out) -> int:
         ],
     }
     if result.notes:
-        doc["notes"] = result.notes
-    _emit(doc, args, out)
-    for check in result.checks:
-        print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}", file=out)
-    return EXIT_OK if result.passed else EXIT_UNDECIDED
+        fields["notes"] = result.notes
+    return fields, EXIT_OK if result.passed else EXIT_UNDECIDED
+
+
+# Each command with its help line, in the order the usage lists them.
+_COMMANDS = {
+    "validate": (_cmd_validate, "check membership and report the overlap structure"),
+    "partition": (_cmd_partition, "cut points, admissible cells and the edge matrix"),
+    "dim": (_cmd_dim, "solve the spectral dimension equation"),
+    "classify": (_cmd_classify, "count the codings of an eventually periodic point"),
+    "witness": (_cmd_witness, "construct a point with a prescribed coding count"),
+    "verify": (_cmd_verify, "run one of the three verification harnesses"),
+}
 
 
 def _build_parser():
@@ -418,54 +329,29 @@ def _build_parser():
         description="Analyze overlapping one-dimensional self-similar systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("file", help="system description file")
-        p.add_argument("--json", help="also write the report as JSON to this path")
-
-    p = sub.add_parser("validate", help="check membership and report the overlap structure")
-    add_common(p)
-
-    p = sub.add_parser("partition", help="cut points, admissible cells and the edge matrix")
-    add_common(p)
-    p.add_argument("--dot", help="write the cell digraph in DOT form to this path")
-
-    p = sub.add_parser("dim", help="solve the spectral dimension equation")
-    add_common(p)
-    p.add_argument("--set", choices=["E", "U1"], default="E", help="full or reduced system")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="bracket width tolerance")
-    p.add_argument("--dot", help="write the solved system's digraph to this path")
-
-    p = sub.add_parser("classify", help="count the codings of an eventually periodic point")
-    add_common(p)
-    p.add_argument("--point", required=True, help="point as w=<digits>;p=<digits>")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
-
-    p = sub.add_parser("witness", help="construct a point with a prescribed coding count")
-    add_common(p)
-    p.add_argument("--target", required=True, help="finite:<k>, aleph0 or continuum")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
-
-    p = sub.add_parser("verify", help="run one of the three verification harnesses")
-    add_common(p)
-    p.add_argument("--theorem", type=int, choices=[1, 2, 3], required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
-
+    commands = {name: sub.add_parser(name, help=text) for name, (_, text) in _COMMANDS.items()}
+    every, searches = " ".join(_COMMANDS), "classify witness verify"
+    # Each flag once: the commands that take it, in the order each command lists them.
+    for flag, names, options in (
+        ("file", every, {"help": "system description file"}),
+        ("--json", every, {"help": "also write the report as JSON to this path"}),
+        ("--set", "dim", {"choices": ["E", "U1"], "default": "E", "help": "full or reduced system"}),
+        ("--point", "classify", {"required": True, "help": "point as w=<digits>;p=<digits>"}),
+        ("--target", "witness", {"required": True, "help": "finite:<k>, aleph0 or continuum"}),
+        ("--theorem", "verify", {"type": int, "choices": [1, 2, 3], "required": True,
+                                 "help": "which theorem's harness to run"}),
+        ("--tol", "dim verify", {"type": float, "default": DEFAULT_TOL,
+                                 "help": "bracket width tolerance (default %(default)s)"}),
+        ("--max-nodes", searches, {"type": int, "default": DEFAULT_MAX_NODES,
+                                   "help": "residual-graph node limit (default %(default)s)"}),
+        ("--max-depth", searches, {"type": int, "default": DEFAULT_MAX_DEPTH,
+                                   "help": "residual-graph depth limit (default %(default)s)"}),
+        ("--dot", "partition dim", {"help": "write the cell digraph, or dim's solved system, "
+                                            "in DOT form to this path"}),
+    ):
+        for name in names.split():
+            commands[name].add_argument(flag, **options)
     return parser
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "partition": _cmd_partition,
-    "dim": _cmd_dim,
-    "classify": _cmd_classify,
-    "witness": _cmd_witness,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv=None, out=None) -> int:
@@ -476,6 +362,9 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold into the parse-error code
         return EXIT_PARSE if exc.code not in (0, None) else 0
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:  # exact values of any size print in full, until the command returns
+        sys.set_int_max_str_digits(0)
     try:
         code = _run(args, out)
         out.flush()
@@ -485,27 +374,49 @@ def main(argv=None, out=None) -> int:
         # interpreter's own flush at exit cannot raise again, and end quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-
-
-def _run(args, out) -> int:
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:  # exact values of any size print in full, until the command returns
-        sys.set_int_max_str_digits(0)
-    try:
-        return _COMMANDS[args.command](args, out)
-    except _NotMember:
-        return EXIT_NOT_MEMBER
-    except BrokenPipeError:
-        raise
-    except InternalError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_UNDECIDED
-    except (IfsFileError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_PARSE
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+def _run(args, out) -> int:
+    """Run one command: the one place that maps a failure to its line and exit code.
+
+    It loads and validates the system, refuses a non-member (``validate`` reports
+    one instead), calls the command, writes ``--json`` and prints the report.
+    Nothing is written to ``out`` inside the ``try``, so a closed pipe reaches ``main``.
+    """
+    failure = None
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            source = parse_ifs_file(fh.read())
+        ifs = Ifs.from_maps(source.maps)
+        validation = validate(ifs)
+        violation = validation.violation  # None exactly for a member
+        if violation is not None and args.command != "validate":
+            reason = f"{violation.condition.value} ({violation.detail})"
+            failure = f"system is not a member: {reason}", EXIT_NOT_MEMBER
+        else:
+            shown = {key: value for key, value in vars(args).items() if key in ("set", "theorem")}
+            report = {"command": args.command, **shown, "system": _system_section(source, ifs)}
+            fields, code = _COMMANDS[args.command][0](args, ifs, validation)
+            report.update(fields)
+            if args.json:
+                import json
+                with open(args.json, "w", encoding="utf-8") as fh:
+                    json.dump(report, fh, indent=2)
+                    fh.write("\n")
+    except InternalError as exc:
+        failure = f"error: {exc}", EXIT_UNDECIDED
+    except (IfsFileError, OSError, ValueError) as exc:
+        failure = f"error: {exc}", EXIT_PARSE
+    if failure is not None:
+        print(failure[0], file=out)
+        return failure[1]
+    _render_text(report, out)
+    for check in report.get("checks", ()):  # verify's verdict lines follow its report
+        print(f"[{check['status']}] {check['name']}", file=out)
+    return code
 
 
 if __name__ == "__main__":

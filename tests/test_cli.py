@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import overlapifs.cli
+import overlapifs.codings
 from overlapifs import (
     CoverViolationError,
     EmptyGraphError,
@@ -105,6 +106,7 @@ class TestParseIfsFile:
             ("map r=1/5 b=0\nmap r=1/5 b=0\n", "duplicate"),
             ("", "no map lines"),
             ("name\n", "name line"),
+            ("name a\nmap r=1/5 b=0\nname b\n", "line 3: duplicate name line"),
         ],
     )
     def test_rejections_carry_detail(self, text, fragment):
@@ -251,6 +253,22 @@ class TestClassifyCommand:
             value = Fraction(printed.split()[1])
             assert value == evaluate(quad, preperiod, (1, 4))
             assert len(str(value.numerator)) > 4300
+
+    def test_point_with_no_path_exits_two(self, quad_file, monkeypatch, capsys):
+        # A parsed point always has an infinite digit path, so a root with a walk
+        # count of 0 is a failed check: exit 2 with an error line, not a traceback.
+        facts = overlapifs.codings._facts
+
+        def dead_root(succ, bound, roots):
+            flag, walks, size = facts(succ, bound, roots)
+            flag[0] = walks[0] = 0
+            return flag, walks, size
+
+        monkeypatch.setattr(overlapifs.codings, "_facts", dead_root)
+        code, text = run(["classify", quad_file, "--point", "w=1;p=4"])
+        assert code == 2
+        assert text == "error: 1/5 has no infinite digit path; it is not an attractor point\n"
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python has no int-to-string digit limit")
     @pytest.mark.parametrize("argv", [["validate"], ["classify", "--point", "w=;p=1,4"], ["nonsense"]])
@@ -545,6 +563,44 @@ class TestClosedPipe:
         assert err == b""
 
 
+# quad scaled by 10^60: its hull's right end has 61 integer digits
+BIG_TEXT = "".join(f"map r=1/5 b={k * 10**60 // 25}\n" for k in (0, 4, 16, 20))
+BIG_RUNS = [
+    ["validate"], ["partition"], ["dim"], ["dim", "--set", "U1"], ["classify", "--point", "w=1;p=4"],
+    ["witness", "--target", "finite:3"], ["verify", "--theorem", "1"], ["verify", "--theorem", "3"],
+]
+
+
+class TestLargeValues:
+    """Decimals are exact at any size: a member with 61-digit values runs every command."""
+
+    @pytest.mark.parametrize("command", BIG_RUNS, ids=[" ".join(c) for c in BIG_RUNS])
+    def test_every_command_prints_exact_decimals(self, tmp_path, capsys, command):
+        path = tmp_path / "big.ifs"
+        path.write_text(BIG_TEXT)
+        code, text = run([command[0], str(path), *command[1:]])
+        assert code == 0
+        assert "Traceback" not in text + capsys.readouterr().err
+        hull = f"0 (0.000000000) .. 1{'0' * 60} (1{'0' * 60}.000000000)"
+        assert f"  hull: {hull}" in text.splitlines()
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (Fraction(1, 2 * 10**9), "0.000000000"),
+            (Fraction(3, 2 * 10**9), "0.000000002"),
+            (Fraction(-1, 2 * 10**9), "-0.000000000"),
+            (Fraction(-1, 10**12), "-0.000000000"),
+            (-0.0, "-0.000000000"),
+            (0.1, "0.100000000"),
+            (Fraction(-7, 3), "-2.333333333"),
+            (Fraction(2 * 10**70 + 1, 2), f"1{'0' * 70}.500000000"),
+        ],
+    )
+    def test_dec_rounds_half_to_even_and_keeps_the_sign(self, value, text):
+        assert overlapifs.cli.dec(value) == text
+
+
 class TestUsage:
     def test_unknown_command_exits_three(self):
         code, _ = run(["frobnicate", "x"])
@@ -553,6 +609,18 @@ class TestUsage:
     def test_help_exits_zero(self):
         code, _ = run(["--help"])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "command,defaults",
+        [("dim", ["1e-12"]), ("classify", ["4096", "512"]), ("witness", ["4096", "512"]),
+         ("verify", ["1e-12", "4096", "512"])],
+    )
+    def test_help_states_each_default(self, capsys, command, defaults):
+        code, _ = run([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert code == 0
+        for default in defaults:
+            assert f"(default {default})" in text
 
 
 _INTEGERS = st.one_of(st.integers(-3, 30), st.integers(-(10**40), 10**40))

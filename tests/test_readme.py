@@ -1,9 +1,12 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example runs and prints what its comments say, and its
+CLI section names exactly the parser's commands and flags."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from overlapifs.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 EXPECTED = [
@@ -29,3 +32,29 @@ def test_library_example_prints_its_commented_outputs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines() == EXPECTED
+
+
+def cli_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"^## CLI\n(.*?)^### ", text, re.S | re.M)
+    assert match is not None, "README has no CLI section"
+    return match.group(1)
+
+
+def usage(*argv: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--help"]) == 0
+    return out.getvalue()
+
+
+def flags(text: str) -> set:
+    return set(re.findall(r"--[a-z][a-z-]*", text)) - {"--help"}
+
+
+def test_cli_section_names_the_parsers_commands_and_flags():
+    section = cli_section()
+    commands = set(re.search(r"\{([a-z,]+)\}", usage()).group(1).split(","))
+    assert len(commands) == 6
+    assert set(re.findall(r"^overlapifs ([a-z]+) ", section, re.M)) == commands
+    assert flags(section) == set().union(*(flags(usage(command)) for command in commands))
