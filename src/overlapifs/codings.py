@@ -151,6 +151,15 @@ class _Residuals:
         return Fraction(*self.pairs[i])
 
     def successors(self, i: int) -> tuple[int, ...]:
+        """The ids of residual i's inverse images, computed once.
+
+        num = c*n - b*q over a*q is reduced by g = gcd(num, a * gcd(c, q)), which is
+        gcd(num, a*q) because n/q is reduced. Take a prime power p**e dividing num and
+        a*q. If p does not divide q, p**e divides a. Otherwise p does not divide n, and
+        p**f, f = min(e, v_p(q)), divides num + b*q = c*n, so it divides c; then
+        e <= v_p(a) + f <= v_p(a) + v_p(gcd(c, q)). Each gcd has one small operand, so
+        a residual of L digits takes time linear in L, where gcd(num, a*q) takes L**2.
+        """
         out = self.succ[i]
         if out is None:
             ids, pairs, succ = self.ids, self.pairs, self.succ
@@ -161,7 +170,7 @@ class _Residuals:
             for d, lo, hi, a, b, c in self.rows:
                 if lo <= fl and ce <= hi:
                     num, den = c * n - b * q, a * q
-                    g = gcd(num, den)
+                    g = gcd(num, a * gcd(c, q))
                     pair = num // g, den // g
                     j = ids.setdefault(pair, len(pairs))
                     if j == len(pairs):

@@ -380,20 +380,26 @@ def _float_guess(gds: GraphDirectedSystem, lo: float, hi: float, tol: float) -> 
 
 
 def _lumped(gds: GraphDirectedSystem) -> GraphDirectedSystem:
-    """``gds`` with each class of vertices of equal ratio (as an integer pair) and equal
-    row merged into its first vertex, again until no two are equal; ``gds`` itself when
-    none are. With L the class indicator, R the class rows and w their weights r**s, the
-    weighted matrix L·diag(w)·R has the nonzero spectrum of diag(w)·R·L at every s: the
-    merged vertices with counts R·L."""
-    while True:
+    """``gds`` with each class of vertices of equal ratio (as an integer pair) and equal row,
+    then equal column, merged into its first vertex, until neither merges two (``uneven``'s
+    five cells become three); ``gds`` itself when none do. With L the class indicator, R the
+    class rows and w their weights r**s, the weighted matrix L·diag(w)·R has the nonzero
+    spectrum of diag(w)·R·L, the merge's, at every s. A column merge is this on Cᵀ, and
+    diag(w)·Cᵀ is similar to (diag(w)·C)ᵀ: the result may come back transposed."""
+    ratio = [v.ratio.as_integer_ratio() for v in gds.vertices]
+    keep, counts, idle = range(gds.size), gds.counts, 0
+    while idle < 2:
         classes: dict[tuple, int] = {}
-        keys = ((v.ratio.as_integer_ratio(), row) for v, row in zip(gds.vertices, gds.counts))
-        of = [classes.setdefault(key, len(classes)) for key in keys]
-        if len(classes) == gds.size:
-            return gds
-        members = [[q for q, k in enumerate(of) if k == c] for c in range(len(classes))]
-        counts = tuple(tuple(sum(row[q] for q in cols) for cols in members) for _, row in classes)
-        gds = GraphDirectedSystem(tuple(gds.vertices[cols[0]] for cols in members), counts)
+        of = [classes.setdefault((ratio[p], row), len(classes)) for p, row in zip(keep, counts)]
+        if len(classes) == len(keep):
+            idle, counts = idle + 1, tuple(zip(*counts))
+            continue
+        idle, merged = 0, [[0] * len(classes) for _ in classes]  # R·L, transposed
+        for p, (_, row) in enumerate(classes):
+            for x, c in zip(row, of):
+                merged[c][p] += x
+        keep, counts = [keep[of.index(c)] for c in range(len(classes))], tuple(map(tuple, merged))
+    return gds if len(keep) == gds.size else GraphDirectedSystem(tuple(gds.vertices[p] for p in keep), counts)
 
 
 def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> DimensionResult:
@@ -411,8 +417,9 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
     are keyed by their integer pairs (p, q), and their logs come from ``_log``'s
     memo. It tries the end nearest the float secant search's s*, its neighbour,
     then steps doubling (from twice the guess's float spacing) while the side
-    repeats, then bisects the end index. Both searches run on
-    ``_lumped(gds)``, which has the same radius at every s.
+    repeats, then bisects the end index; a test usually takes one elimination.
+    Both searches run on ``_lumped(gds)``, which has the same radius at every
+    s; h and the float start come from the rows of gds, which it may not keep.
     """
     check_tol(tol)
     if gds.size == 0:
@@ -428,7 +435,7 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
     pairs = [v.ratio.as_integer_ratio() for v in lumped.vertices]
     ratios = list(dict.fromkeys(pairs))
     slots = [ratios.index(pair) for pair in pairs]
-    h, rows = 1, [(p, q, sum(row)) for (p, q), row in zip(pairs, counts)]
+    h, rows = 1, [(*v.ratio.as_integer_ratio(), sum(row)) for v, row in zip(gds.vertices, gds.counts)]
     while any(p**h * total >= q**h for p, q, total in rows):
         h *= 2
     # End j is (2j - 1)·half over 2**shift, half = w/2: end 0 lies below 0 and end hi not below h.
@@ -437,14 +444,21 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
     first = digits = GUARD_DIGITS + max(0, math.ceil(-math.log10(tol)))
     bounds, steps = _power_bounds(ratios, digits, shift), 1
 
+    # s* lies between the least and the largest s where a weighted row sum is one, give or take rounding.
+    cw = [math.log(t) / (math.log(q) - math.log(p)) if t else 0.0 for p, q, t in rows]
+    start = (max(0.0, min(cw) - tol), min(float(h), max(cw) + tol))
+    guess = g if 0 <= (g := _float_guess(lumped, *start, tol)) <= h else 0.0
+    (gn, gd), (un, ud) = guess.as_integer_ratio(), math.ulp(guess).as_integer_ratio()
+
     def at_or_below(n: int) -> bool:
-        """Whether s = n / 2**shift is proved at or below s*; False when it is proved above."""
+        """Whether s = n / 2**shift is proved at or below s*; False when it is proved above.
+        The enclosure (lower, upper) proving the side the guess predicts runs first."""
         nonlocal steps, digits, bounds
         steps += 1
-        low, high = ([w[k] for k in slots] for w in bounds(n))
-        scale = 10**digits
-        if (above := _below(counts, scale, weights=high)) or not _below(counts, scale, weights=low):
-            return not above
+        enclosures = bounds(n)
+        for up in (guessed := n * gd <= gn << shift, not guessed):
+            if _below(counts, 10**digits, weights=[enclosures[not up][k] for k in slots]) != up:
+                return up
         if exact := _exact_powers(ratios, n, shift):
             weights, den = exact
             return not _below(counts, den, weights=[weights[k] for k in slots])
@@ -453,12 +467,7 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
         digits, bounds = 2 * digits, _power_bounds(ratios, 2 * digits, shift)
         return at_or_below(n)
 
-    # s* lies between the least and the largest s where a weighted row sum is one, give or take rounding.
-    cw = [math.log(t) / (math.log(q) - math.log(p)) if t else 0.0 for p, q, t in rows]
-    start = (max(0.0, min(cw) - tol), min(float(h), max(cw) + tol))
-    guess = g if 0 <= (g := _float_guess(lumped, *start, tol)) <= h else 0.0
-    (n, d), (un, ud) = guess.as_integer_ratio(), math.ulp(guess).as_integer_ratio()
-    j = (n << shift) // d // (2 * half) + 1
+    j = (gn << shift) // gd // (2 * half) + 1
     spread, step, rising = (un << shift) // (ud * half), 1, None
     while hi - lo > 1:
         j = min(max(j, lo + 1), hi - 1)

@@ -221,6 +221,20 @@ def mpmath_dimension(counts, ratios, digits: int = 40):
         return +root
 
 
+def row_merged(counts, ratios):
+    """``(counts, ratios)`` with the vertices of equal ratio and equal row merged into one,
+    summing their columns, again until no two are equal. Rows only, so the weighted
+    matrix keeps its nonzero spectrum at every exponent: a reference for large graphs."""
+    while True:
+        keys = list(zip(ratios, map(tuple, counts)))
+        classes = list(dict.fromkeys(keys))
+        if len(classes) == len(keys):
+            return counts, ratios
+        of = [classes.index(key) for key in keys]
+        counts = [[sum(x for x, k in zip(row, of) if k == c) for c in range(len(classes))] for _, row in classes]
+        ratios = [r for r, _ in classes]
+
+
 def fold_word(ifs: Ifs, word) -> tuple[F, F]:
     """A word's map x -> ratio*x + offset as ``(ratio, offset)``, the first digit's
     map applied last, folded in Fractions one digit at a time ((1, 0) when empty):

@@ -1,7 +1,9 @@
 """Coding engine: evaluation, residual graphs, classification, witnesses."""
 
+import math
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction as F
 from functools import cache
@@ -634,6 +636,51 @@ class TestBigDenominators:
             assert (verdict.kind, verdict.count) == oracle_classify(ref), x
             for k in (1, 4, 8):
                 assert enumerate_codings(ifs, x, k) == reference_codings(ref, k)
+
+
+class TestResidualStep:
+    """A residual's inverse image is reduced by one gcd with a small operand."""
+
+    def test_small_gcd_reduces_fully(self):
+        # With n/q reduced, gcd(c*n - b*q, a*q) == gcd(c*n - b*q, a * gcd(c, q)).
+        rng = random.Random(82)
+
+        def smooth(top):
+            return math.prod(p ** rng.randint(0, 5) for p in (2, 3, 5, 7)) * rng.randint(1, top)
+
+        for _ in range(20_000):
+            q = smooth(10 ** rng.randint(1, 30))
+            n = rng.randint(-q, 2 * q)
+            n, q = n // math.gcd(n, q), q // math.gcd(n, q)
+            a, b, c = smooth(60), rng.randint(-(10**6), 10**6), smooth(60)
+            num = c * n - b * q
+            assert math.gcd(num, a * q) == math.gcd(num, a * math.gcd(c, q))
+
+    @pytest.mark.parametrize("name", ["quad", "uneven", "unequal-0", "unequal-6"])
+    def test_successors_match_fraction_inverses(self, name):
+        ifs = TestGraphView.system(name)
+        rng = random.Random(83)
+        lo, hi = ifs.hull.lo, ifs.hull.hi
+        for _ in range(300):
+            q = rng.randint(1, 10 ** rng.randint(1, 40)) * ifs.integer_maps[0][2] ** rng.randint(0, 3)
+            x = lo + (hi - lo) * F(rng.randint(0, q), q)
+            res = overlapifs.codings._Residuals(ifs, [(x.numerator, x.denominator)], 1, 1)
+            found = [res.value(j) for j in res.successors(0)]
+            assert found == [ifs.map(d).invert(x) for d in res.labels[0]]
+            assert all(math.gcd(*res.pairs[j]) == 1 for j in res.successors(0))
+
+    def test_long_preperiod_classifies_fast(self, quad):
+        # A random 30,000-digit preperiod gives about 43,000 residuals of up to 30,000
+        # digits: a full gcd per residual took minutes.
+        rng = random.Random(30_000)
+        x = evaluate(quad, [rng.randint(1, 4) for _ in range(30_000)], (4,))
+        start = time.perf_counter()
+        graph = build_residual_graph(quad, x, 10**6, 10**6)
+        verdict = classify_cardinality(graph)
+        assert time.perf_counter() - start < 10
+        assert len(graph.residuals.pairs) == 43_172
+        assert verdict.kind == "finite"
+        assert (verdict.count.bit_length(), verdict.count % 1_000_000_007) == (9184, 398_862_320)
 
 
 class TestPrefixForcing:

@@ -26,6 +26,7 @@ from conftest import (
     random_member,
     random_unequal_member,
     reference_partition_graph,
+    row_merged,
     strongly_connected,
 )
 from overlapifs import (
@@ -146,6 +147,25 @@ def exact_char_poly(matrix):
         mk = mat_mul(a, mk)
         coeffs.append(-trace(mk) / k)
     return coeffs
+
+
+def fraction_det(gds, weight):
+    """det(I - diag(w)·counts) in Fractions by Gaussian elimination, w = weight[ratio] per row."""
+    rows = zip(gds.vertices, gds.counts)
+    a = [[F(p == q) - weight[v.ratio] * x for q, x in enumerate(row)] for p, (v, row) in enumerate(rows)]
+    det = F(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != k:
+            a[k], a[pivot], det = a[pivot], a[k], -det
+        det *= a[k][k]
+        for row in a[k + 1 :]:
+            factor = row[k] / a[k][k]
+            for j in range(k, len(a)):
+                row[j] -= factor * a[k][j]
+    return det
 
 
 def quad_radius_oracle():
@@ -515,7 +535,8 @@ class TestSolveDimension:
 
 
 class TestLumped:
-    """Vertices of equal ratio and equal row merge for the exact tests, which keeps every bracket."""
+    """Vertices of equal ratio and equal row, or equal column, merge for the exact tests,
+    which keeps every bracket."""
 
     @pytest.fixture(scope="class")
     def systems(self, quad, noend, uneven):
@@ -523,16 +544,20 @@ class TestLumped:
         return [gds for ifs in members for gds in solved_systems(ifs)]
 
     def test_merged_sizes(self, quad, noend, uneven):
-        assert [_lumped(solved_systems(ifs)[0]).size for ifs in (quad, noend)] == [3, 3]
-        full = solved_systems(uneven)[0]
-        assert _lumped(full) is full
+        assert [_lumped(solved_systems(ifs)[0]).size for ifs in (quad, noend, uneven)] == [3, 2, 3]
+        reduced = solved_systems(uneven)[1]
+        assert _lumped(reduced) is reduced
 
-    def test_row_sums_kept(self, systems):
+    def test_determinant_kept(self, systems):
+        # det(I - diag(w)·C) at one weight per ratio: the merge keeps it, transposed or not.
+        rng = random.Random(31)
         for gds in systems:
             merged = _lumped(gds)
             assert merged.size <= gds.size
-            for v, row in zip(merged.vertices, merged.counts):
-                assert sum(row) == sum(gds.counts[gds.vertices.index(v)])
+            ratios = {v.ratio for v in gds.vertices}
+            for _ in range(3):
+                weight = {r: F(rng.randint(1, 40), rng.randint(1, 40)) for r in ratios}
+                assert fraction_det(gds, weight) == fraction_det(merged, weight)
 
     def test_identity_keeps_bracket_and_iterations(self, systems, monkeypatch):
         lumped = [solve_dimension(gds) for gds in systems]
@@ -578,6 +603,40 @@ class TestFloatGuess:
         for ifs in members:
             for gds in solved_systems(ifs):
                 assert solve_dimension(gds, tol).iterations <= 4
+
+    def test_one_elimination_per_predicted_test(self, quad, noend, uneven, monkeypatch):
+        # The enclosure for the side the float guess predicts runs first and decides. The
+        # other one runs too only for an end between the guess and s*, as the guess is
+        # only within tol/8 of s*.
+        rng = random.Random(2024)
+        members = [quad, noend, uneven] + [random_unequal_member(rng) for _ in range(30)]
+        module = overlapifs.dimension
+        minor, power_bounds, float_guess = module._minor, module._power_bounds, module._float_guess
+        exact, ends, guesses = [], [], []
+
+        def counted(matrix, bound, divide=operator.floordiv, weights=None):
+            exact.append(divide is operator.floordiv and weights is not None)
+            return minor(matrix, bound, divide, weights)
+
+        def recorded(ratios, digits, shift):
+            bounds = power_bounds(ratios, digits, shift)
+            return lambda n: ends.append(F(n, 1 << shift)) or bounds(n)
+
+        monkeypatch.setattr(module, "_minor", counted)
+        monkeypatch.setattr(module, "_power_bounds", recorded)
+        monkeypatch.setattr(module, "_float_guess", lambda *args: guesses.append(float_guess(*args)) or guesses[-1])
+        tests = mispredicted = 0
+        for ifs in members:
+            for gds in solved_systems(ifs):
+                exact.clear()
+                ends.clear()
+                result = solve_dimension(gds, 1e-12)
+                lo, guess = result.bracket[0], F(guesses[-1])
+                wrong = sum((s <= guess) != (s <= lo) for s in ends)
+                assert len(ends) == result.iterations - 1
+                assert sum(exact) == len(ends) + wrong
+                tests, mispredicted = tests + len(ends), mispredicted + wrong
+        assert 8 * mispredicted <= tests  # 8 of 132 here
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-15])
     def test_float_elimination_budget(self, quad, noend, uneven, monkeypatch, tol):
@@ -852,10 +911,11 @@ class TestLargeMembers:
         for gds in solved_systems(no_end_member(random.Random(m), m)):
             result = solve_dimension(gds)
             assert result.iterations <= 4
-            # The reference takes seconds on the whole graph past m = 16; the lumped
-            # graph has the same radius at every s (TestLumped).
-            ref = gds if m == 16 else _lumped(gds)
-            assert_holds(result.bracket, mpmath_dimension(ref.counts, [v.ratio for v in ref.vertices]), DEFAULT_TOL)
+            # The reference takes seconds on the whole graph past m = 16; its own row
+            # merge has the same radius at every s and shares no code with ``_lumped``.
+            ref = (gds.counts, [v.ratio for v in gds.vertices])
+            ref = ref if m == 16 else row_merged(*ref)
+            assert_holds(result.bracket, mpmath_dimension(*ref), DEFAULT_TOL)
 
 
 class TestReducedSystem:
