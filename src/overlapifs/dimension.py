@@ -50,7 +50,7 @@ class CoverViolationError(InternalError):
 
 
 class EmptyGraphError(InternalError):
-    """The graph-directed system has no vertex or no edge, so it has no dimension to solve."""
+    """The graph-directed system has no vertex or no cycle: no infinite path, an empty attractor."""
 
 
 class EmptyReducedSystemError(EmptyGraphError):
@@ -76,10 +76,6 @@ class Partition(_Value):
     def pair_interval(self, i: int) -> Interval:
         return Interval(self.points[i - 1], self.points[i])
 
-    def gap_pairs(self) -> tuple[int, ...]:
-        admissible = {i for i, _ in self.cells}
-        return tuple(i for i in range(1, self.gamma) if i not in admissible)
-
 
 def _cut_index(points: Collection[Fraction]) -> tuple[int, dict[int, int]]:
     """``(den, index)``: the cut points, none given twice, as numerators over their
@@ -101,6 +97,13 @@ def _spans(intervals: Iterable[Interval], den: int, index: dict[int, int]) -> li
     return list(zip(ends[::2], ends[1::2]))
 
 
+def _cells(spans: Sequence[tuple[int, int]], gamma: int) -> tuple[tuple[int, int], ...]:
+    """The one cell rule: each pair i of ``gamma`` cut points that lies in a hull image, as
+    (i, d) with d the smallest digit whose image's index span (lo, hi] holds i."""
+    covering = ((i, [d for d, (lo, hi) in enumerate(spans, 1) if lo < i <= hi]) for i in range(1, gamma))
+    return tuple((i, digits[0]) for i, digits in covering if digits)
+
+
 def build_partition(ifs: Ifs, report: ValidationReport) -> Partition:
     """Cut points of a validated member system.
 
@@ -109,13 +112,12 @@ def build_partition(ifs: Ifs, report: ValidationReport) -> Partition:
     the maximal left tail length) and of the left hull endpoint under the
     last map (up to the maximal right tail length). The expected count and
     the switch cells are hard checks. They run on the cut points' integer
-    index (``_cut_index``): pair i lies in hull image d when lo_d < i <= hi_d,
-    the indices of the image's ends. ``build_graph`` checks that each cell's
-    covering inverse map takes it onto a window between cut points.
+    index (``_cut_index``): ``_cells`` puts pair i in the first hull image d
+    with lo_d < i <= hi_d, the indices of its ends. ``build_graph`` checks that
+    each cell's covering inverse map takes it onto a window between cut points.
     """
     if not report.member:
         raise ValueError("partition is only defined for members")
-    assert report.u_max is not None and report.v_max is not None
     first, last = ifs.maps[0], ifs.maps[-1]
 
     points = {end for piece in ifs.pieces for end in (piece.lo, piece.hi)}
@@ -135,21 +137,13 @@ def build_partition(ifs: Ifs, report: ValidationReport) -> Partition:
             f"expected {expected} cut points, deduplication left {len(index)}"
         )
     ordered = tuple(sorted(points, key=lambda p: p.numerator * (den // p.denominator)))
-    spans = _spans(ifs.pieces, den, index)
-
-    cells: list[tuple[int, int]] = []
-    for i in range(1, len(ordered)):
-        for d, (lo, hi) in enumerate(spans, 1):
-            if lo < i <= hi:
-                cells.append((i, d))
-                break
-
+    cells = _cells(_spans(ifs.pieces, den, index), len(ordered))
     digits = dict(cells)
     overlaps = _spans((spec.overlap for spec in report.overlaps), den, index)
     switches = tuple(hi if hi in digits and lo == hi - 1 else None for lo, hi in overlaps)
     if None in switches:
         raise PartitionInvariantError("an overlap interval is not one admissible cell")
-    return Partition(ordered, tuple(cells), switches)
+    return Partition(ordered, cells, switches)
 
 
 class Vertex(_Value):
@@ -176,41 +170,30 @@ class GraphDirectedSystem(_Value):
     def size(self) -> int:
         return len(self.vertices)
 
-    def edge_count(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
 
 def build_graph(ifs: Ifs, part: Partition) -> GraphDirectedSystem:
     """Edge structure over the admissible cells.
 
     Each vertex p gets an edge to exactly the admissible cells contained in
-    the inverse image of p's cell under p's covering map. Three structural
-    facts are verified along the way: no non-admissible gap meets a hull
-    image in more than endpoints, the admissible cells cover exactly the
-    union of the hull images, and the cut points are closed under each
-    cell's covering inverse map (checked only here). All compare index spans
+    the inverse image of p's cell under p's covering map. Two structural
+    facts are verified along the way: the cells, digits included, are those
+    of ``_cells``, the partition's one rule, and the cut points are closed under each
+    cell's covering inverse map (checked only here). Both compare index spans
     of the cut points (``_cut_index``): the cell of pair i maps back onto the
     window between cut points j and k, so row p has a 1 for each cell i_q
     with j < i_q <= k, and a hull image or window off the cut points fails.
     """
     den, index = _cut_index(part.points)
-    spans, gaps = _spans(ifs.pieces, den, index), part.gap_pairs()
+    spans = _spans(ifs.pieces, den, index)
     for d, (lo, hi) in enumerate(spans, 1):
         if lo is None or hi is None:
             raise CoverViolationError(
                 "admissible cells do not cover the union of hull images: "
                 f"the image {ifs.piece(d)} of map {d} does not end at cut points"
             )
-        for i in gaps:
-            if lo < i <= hi:
-                raise CoverViolationError(
-                    f"gap {part.pair_interval(i)} meets the image of map {d} beyond endpoints"
-                )
-    outside = [i for i, _ in part.cells if not any(lo < i <= hi for lo, hi in spans)]
-    if outside:
+    if part.cells != _cells(spans, part.gamma):
         raise CoverViolationError(
-            "admissible cells do not cover the union of hull images: "
-            f"{[str(part.pair_interval(i)) for i in outside]} lie outside it"
+            "the cells are not the pairs inside a hull image, each with the smallest digit covering it"
         )
 
     nums, windows = list(index), []
@@ -302,14 +285,17 @@ class DimensionResult(_Value):
     The bracket, not the float, is the contract: the exact test proves the
     weighted spectral radius >= 1 at the lower end and < 1 at the upper end.
     It is the cell of ``solve_dimension`` that holds s*, a function of the
-    system and the tolerance alone. ``value`` is the midpoint, ``iterations``
-    counts the exact tests, and ``method`` names the one route, for reports.
+    system and the tolerance alone. ``value`` is its midpoint, derived, not
+    stored; ``iterations`` counts the exact tests, ``method`` names the route.
     """
 
-    value: float
     bracket: tuple[Fraction, Fraction]
     iterations: int
     method = "bisection"
+
+    @property
+    def value(self) -> float:
+        return float(sum(self.bracket) / 2)
 
 
 @functools.lru_cache(maxsize=64)
@@ -340,10 +326,8 @@ def _power_bounds(ratios: Sequence[tuple[int, int]], digits: int, shift: int):
 
 def _exact_powers(ratios: Sequence[tuple[int, int]], n: int, shift: int):
     """``(weights, den)`` with r**s = weight / den for each ratio r = p/q at s = n / 2**shift
-    when every r**s is rational, else None: with s = n'/2**k in lowest terms, r**s is
-    rational exactly when p and q are 2**k-th powers."""
-    while shift and not n & 1:
-        n, shift = n >> 1, shift - 1
+    when every r**s is rational, else None. Every tested end has n odd when shift > 0, so s
+    is in lowest terms, and r**s is rational exactly when p and q are 2**shift-th powers."""
     roots = [x for pair in ratios for x in pair]
     for _ in range(shift):
         squares, roots = roots, [math.isqrt(x) for x in roots]
@@ -420,18 +404,13 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
     repeats, then bisects the end index; a test usually takes one elimination.
     Both searches run on ``_lumped(gds)``, which has the same radius at every
     s; h and the float start come from the rows of gds, which it may not keep.
+    A graph with no cycle (no vertex or no edge included) has no infinite path: it is refused.
     """
     check_tol(tol)
-    if gds.size == 0:
-        raise EmptyGraphError("empty graph-directed system")
-    if gds.edge_count() == 0:
-        raise EmptyGraphError("graph-directed system has no edges")
-
     lumped = _lumped(gds)
     counts = lumped.counts
     if _below(counts, 1):
-        # Acyclic counts: the radius is zero at every exponent.
-        return DimensionResult(0.0, (Fraction(0), Fraction(0)), 1)
+        raise EmptyGraphError("graph-directed system has no cycle, so its attractor is empty")
     pairs = [v.ratio.as_integer_ratio() for v in lumped.vertices]
     ratios = list(dict.fromkeys(pairs))
     slots = [ratios.index(pair) for pair in pairs]
@@ -478,7 +457,7 @@ def solve_dimension(gds: GraphDirectedSystem, tol: float = DEFAULT_TOL) -> Dimen
         else:
             j, step = (lo + hi) // 2, 0
     ends = (max(0, (2 * lo - 1) * half), min(h << shift, (2 * hi - 1) * half))
-    return DimensionResult(sum(ends) / (2 << shift), tuple(Fraction(e, 1 << shift) for e in ends), steps)
+    return DimensionResult(tuple(Fraction(e, 1 << shift) for e in ends), steps)
 
 
 def reduced_system(ifs: Ifs, part: Partition, gds: GraphDirectedSystem) -> GraphDirectedSystem:
@@ -492,9 +471,8 @@ def reduced_system(ifs: Ifs, part: Partition, gds: GraphDirectedSystem) -> Graph
     if not keep:
         raise EmptyReducedSystemError("removing the switch cells deleted every vertex")
 
-    vertices = tuple(gds.vertices[p] for p in keep)
     counts = tuple(tuple(gds.counts[p][q] for q in keep) for p in keep)
-    return GraphDirectedSystem(vertices=vertices, counts=counts)
+    return GraphDirectedSystem(tuple(gds.vertices[p] for p in keep), counts)
 
 
 def to_dot(gds: GraphDirectedSystem) -> str:

@@ -174,18 +174,27 @@ class Violation(_Value):
 
 
 class ValidationReport(_Value):
-    member: bool
+    """``validate``'s outcome: the first violated condition, or None and a member's overlaps and
+    disjoint pairs. ``member`` and the longest tails ``u_max``, ``v_max`` are derived, not stored."""
+
     violation: Violation | None
-    overlaps: tuple[OverlapSpec, ...]
-    disjoint_pairs: tuple[int, ...]
-    u_max: int | None
-    v_max: int | None
+    overlaps: tuple[OverlapSpec, ...] = ()
+    disjoint_pairs: tuple[int, ...] = ()
+
+    @property
+    def member(self) -> bool:
+        return self.violation is None
+
+    @property
+    def u_max(self) -> int | None:
+        return max((spec.u for spec in self.overlaps), default=None)
+
+    @property
+    def v_max(self) -> int | None:
+        return max((spec.v for spec in self.overlaps), default=None)
 
     def overlap_at(self, index: int) -> OverlapSpec | None:
-        for spec in self.overlaps:
-            if spec.index == index:
-                return spec
-        return None
+        return next((spec for spec in self.overlaps if spec.index == index), None)
 
 
 class EndCase(_Value):
@@ -280,63 +289,53 @@ def validate(ifs: Ifs) -> ValidationReport:
     b = ifs.hull.hi
     maps = ifs.maps
 
-    def fail(condition: Condition, detail: str) -> ValidationReport:
-        return ValidationReport(
-            member=False,
-            violation=Violation(condition, detail),
-            overlaps=(),
-            disjoint_pairs=(),
-            u_max=None,
-            v_max=None,
-        )
-
     # Ordering: extreme maps fix the hull ends and left endpoints increase.
     if maps[0].fixed_point() != a:
-        return fail(
+        return ValidationReport(Violation(
             Condition.ORDERING,
             f"leftmost map fixes {format_rational(maps[0].fixed_point())}, "
             f"not the hull's left endpoint {format_rational(a)}",
-        )
+        ))
     if maps[-1].fixed_point() != b:
-        return fail(
+        return ValidationReport(Violation(
             Condition.ORDERING,
             f"rightmost map fixes {format_rational(maps[-1].fixed_point())}, "
             f"not the hull's right endpoint {format_rational(b)}",
-        )
+        ))
     lefts = [f(a) for f in maps]
     for i in range(len(lefts) - 1):
         if lefts[i] >= lefts[i + 1]:
-            return fail(
+            return ValidationReport(Violation(
                 Condition.ORDERING,
                 f"left endpoints of maps {i + 1} and {i + 2} do not strictly increase "
                 f"({format_rational(lefts[i])} >= {format_rational(lefts[i + 1])})",
-            )
+            ))
     for d in range(1, ifs.m + 1):
         if not ifs.hull.contains_interval(ifs.piece(d)):
-            return fail(Condition.ORDERING, f"image of map {d} leaves the hull")
+            return ValidationReport(Violation(Condition.ORDERING, f"image of map {d} leaves the hull"))
 
     # Separation: next-but-one images must be disjoint.
     for i in range(1, ifs.m - 1):
         hi_i = ifs.piece(i).hi
         lo_next = ifs.piece(i + 2).lo
         if hi_i >= lo_next:
-            return fail(
+            return ValidationReport(Violation(
                 Condition.SEPARATION,
                 f"images of maps {i} and {i + 2} meet "
                 f"({format_rational(hi_i)} >= {format_rational(lo_next)})",
-            )
+            ))
 
     # Adjacency mix: need at least one gap and one nondegenerate overlap.
     intersections = [ifs.piece(i).intersect(ifs.piece(i + 1)) for i in range(1, ifs.m)]
     has_gap = any(iv is None for iv in intersections)
     has_overlap = any(iv is not None and not iv.is_point for iv in intersections)
     if not (has_gap and has_overlap):
-        return fail(
+        return ValidationReport(Violation(
             Condition.ADJACENCY_MIX,
             "need both a disjoint and an overlapping neighbour pair "
             f"(m={ifs.m}; gaps={'yes' if has_gap else 'no'}, "
             f"overlaps={'yes' if has_overlap else 'no'})",
-        )
+        ))
 
     # Overlap identities.
     overlaps: list[OverlapSpec] = []
@@ -347,7 +346,7 @@ def validate(ifs: Ifs) -> ValidationReport:
             continue
         spec = _overlap_spec(ifs, i, inter)
         if isinstance(spec, str):
-            return fail(Condition.OVERLAP_IDENTITY, f"pair ({i}, {i + 1}): {spec}")
+            return ValidationReport(Violation(Condition.OVERLAP_IDENTITY, f"pair ({i}, {i + 1}): {spec}"))
         overlaps.append(spec)
 
     # Consequence check: no hull image may contain another. This follows
@@ -359,11 +358,4 @@ def validate(ifs: Ifs) -> ValidationReport:
                     f"image {i + 1} contained in image {j + 1} despite passing all checks"
                 )
 
-    return ValidationReport(
-        member=True,
-        violation=None,
-        overlaps=tuple(overlaps),
-        disjoint_pairs=tuple(disjoint),
-        u_max=max(s.u for s in overlaps),
-        v_max=max(s.v for s in overlaps),
-    )
+    return ValidationReport(None, tuple(overlaps), tuple(disjoint))

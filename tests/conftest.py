@@ -69,6 +69,15 @@ def uneven_maps() -> list[AffineMap]:
     ]
 
 
+def uneven_mirror_maps() -> list[AffineMap]:
+    """``uneven`` under x -> 1 - x: f(x) = r x + b becomes r x + 1 - r - b.
+
+    Hand-checked: pieces [0, 1/3], [64/81, 73/81] and [8/9, 1], so pair (1, 2)
+    has a gap and only the right pair (2, 3) overlaps, in [8/9, 73/81].
+    """
+    return [AffineMap(f.ratio, 1 - f.ratio - f.offset) for f in reversed(uneven_maps())]
+
+
 @pytest.fixture(scope="session")
 def quad():
     return Ifs.from_maps(quad_maps())
@@ -97,6 +106,11 @@ def uneven():
 @pytest.fixture(scope="session")
 def uneven_report(uneven):
     return validate(uneven)
+
+
+@pytest.fixture(scope="session")
+def uneven_mirror():
+    return Ifs.from_maps(uneven_mirror_maps())
 
 
 @pytest.fixture(scope="session")
@@ -389,7 +403,7 @@ def reference_partition_graph(ifs: Ifs, report) -> tuple[Partition, GraphDirecte
             "admissible cells do not cover the union of hull images: "
             f"{[str(iv) for iv in cell_union]} vs {[str(iv) for iv in piece_union]}"
         )
-    for i in part.gap_pairs():
+    for i in sorted(set(range(1, part.gamma)) - set(pair_of.values())):
         gap = part.pair_interval(i)
         for d in range(1, ifs.m + 1):
             if interior_overlaps(ifs.piece(d), gap):

@@ -83,6 +83,13 @@ def noend_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def mirror_file(tmp_path, uneven_mirror):
+    path = tmp_path / "mirror.ifs"
+    path.write_text("".join(f"map r={f.ratio} b={f.offset}\n" for f in uneven_mirror.maps))
+    return str(path)
+
+
 class TestParseIfsFile:
     def test_accepts_comments_blanks_and_name(self):
         parsed = parse_ifs_file(QUAD_TEXT)
@@ -372,6 +379,11 @@ class TestWitnessCommand:
         assert code == 0
         assert "kind: unreachable" in text
 
+    def test_right_only_member_gets_the_mirrored_countable_recipe(self, mirror_file):
+        code, text = run(["witness", mirror_file, "--target", "aleph0"])
+        assert code == 0
+        assert "point: w=3;p=1" in text
+
     def test_bad_target_exits_three(self, quad_file):
         code, _ = run(["witness", quad_file, "--target", "finite:zero"])
         assert code == 3
@@ -428,6 +440,12 @@ class TestVerifyCommand:
         code, text = run(["verify", quad_file, "--theorem", "1"])
         assert code == 0
         assert "[PASS] witness finite(6)" in text
+        assert "[FAIL]" not in text
+
+    def test_theorem_one_passes_on_a_right_only_member(self, mirror_file):
+        code, text = run(["verify", mirror_file, "--theorem", "1"])
+        assert code == 0
+        assert "[PASS] countable family" in text and "[PASS] witness countable" in text
         assert "[FAIL]" not in text
 
     def test_theorem_three_passes_on_quad(self, quad_file):

@@ -55,6 +55,9 @@ from overlapifs.cli import main, parse_ifs_file
 from overlapifs.dimension import _below, _float_guess, _log, _lumped, _minor
 from overlapifs.system import DEFAULT_TOL
 
+# build_graph's one refusal of cells that are not the ones build_partition's rule gives
+CELL_RULE = "the cells are not the pairs inside a hull image, each with the smallest digit covering it"
+
 QUAD_MATRIX = (
     (1, 1, 1, 1, 0, 0),
     (0, 0, 0, 0, 1, 1),
@@ -193,7 +196,7 @@ class TestPartition:
         assert part.gamma == 8 == 2 * 4 + 1 + 1 - 2
         assert part.cells == ((1, 1), (2, 1), (3, 2), (5, 3), (6, 3), (7, 4))
         assert part.switches == (2, 6)
-        assert part.gap_pairs() == (4,)
+        assert [i for i in range(1, part.gamma) if i not in dict(part.cells)] == [4]
 
     def test_noend_points(self, noend, noend_report):
         part = build_partition(noend, noend_report)
@@ -223,14 +226,9 @@ class TestPartition:
     def test_count_mismatch_raises(self, quad, quad_report):
         # dropping the right tail leaves eight distinct points against an
         # expected count of seven, which the builder must refuse
-        doctored = ValidationReport(
-            member=quad_report.member,
-            violation=quad_report.violation,
-            overlaps=quad_report.overlaps,
-            disjoint_pairs=quad_report.disjoint_pairs,
-            u_max=0,
-            v_max=quad_report.v_max,
-        )
+        no_left_tail = tuple(OverlapSpec(s.index, 0, s.v, s.overlap, s.composed) for s in quad_report.overlaps)
+        doctored = ValidationReport(None, no_left_tail, quad_report.disjoint_pairs)
+        assert doctored.u_max == 0 and doctored.v_max == quad_report.v_max
         with pytest.raises(PartitionInvariantError):
             build_partition(quad, doctored)
 
@@ -238,14 +236,7 @@ class TestPartition:
         # an overlap spanning two cells names no single switch cell
         spec = quad_report.overlaps[0]
         wide = OverlapSpec(spec.index, spec.u, spec.v, Interval(F(4, 25), F(9, 25)), spec.composed)
-        doctored = ValidationReport(
-            member=quad_report.member,
-            violation=quad_report.violation,
-            overlaps=(wide,) + quad_report.overlaps[1:],
-            disjoint_pairs=quad_report.disjoint_pairs,
-            u_max=quad_report.u_max,
-            v_max=quad_report.v_max,
-        )
+        doctored = ValidationReport(None, (wide,) + quad_report.overlaps[1:], quad_report.disjoint_pairs)
         with pytest.raises(PartitionInvariantError, match="not one admissible cell"):
             build_partition(quad, doctored)
 
@@ -298,7 +289,8 @@ class TestBuildGraph:
             )
             gaps_inside = sum(
                 length(part.pair_interval(i))
-                for i in part.gap_pairs()
+                for i in range(1, part.gamma)
+                if i not in dict(part.cells)
                 if window.contains_interval(part.pair_interval(i))
             )
             assert covered + gaps_inside == length(window)
@@ -333,15 +325,19 @@ class TestBuildGraph:
     def test_gap_inside_an_image_raises(self, quad):
         # without cell (2, 1), pair 2 is a gap inside map 1's image [0, 1/5]
         cells = ((1, 1), (3, 2), (5, 3), (6, 3), (7, 4))
-        match = r"gap \[4/25, 1/5\] meets the image of map 1 beyond endpoints"
-        with pytest.raises(CoverViolationError, match=match):
+        with pytest.raises(CoverViolationError, match=CELL_RULE):
             build_graph(quad, Partition(QUAD_POINTS, cells, (6,)))
 
     def test_cell_outside_the_images_raises(self, quad):
         # cell (4, 2) turns the gap between images 2 and 3 into a cell that no image holds
         cells = ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 4))
-        match = r"do not cover the union of hull images: \['\[9/25, 16/25\]'\] lie outside it"
-        with pytest.raises(CoverViolationError, match=match):
+        with pytest.raises(CoverViolationError, match=CELL_RULE):
+            build_graph(quad, Partition(QUAD_POINTS, cells, (2, 6)))
+
+    def test_covering_digit_that_is_not_the_smallest_raises(self, quad):
+        # the switch cell [4/25, 1/5] lies in images 1 and 2; the rule names digit 1
+        cells = ((1, 1), (2, 2), (3, 2), (5, 3), (6, 3), (7, 4))
+        with pytest.raises(CoverViolationError, match=CELL_RULE):
             build_graph(quad, Partition(QUAD_POINTS, cells, (2, 6)))
 
     def test_image_end_off_the_cut_points_raises(self, quad, quad_report):
@@ -500,10 +496,30 @@ class TestSolveDimension:
         gds = GraphDirectedSystem(
             vertices=(Vertex(1, Interval(F(0), F(1)), 1, F(1, 2)),), counts=((0,),)
         )
-        with pytest.raises(EmptyGraphError, match="no edges"):
+        with pytest.raises(EmptyGraphError, match="no cycle"):
             solve_dimension(gds)
         with pytest.raises(EmptyGraphError, match="empty"):
             solve_dimension(GraphDirectedSystem(vertices=(), counts=()))
+
+    def test_rejects_acyclic_with_edges(self):
+        # a path 1 -> 2 -> 3 has edges but no cycle, so no infinite path
+        vertices = tuple(Vertex(i, Interval(F(i), F(i + 1)), i, F(1, 3)) for i in (1, 2, 3))
+        gds = GraphDirectedSystem(vertices, ((0, 1, 0), (0, 0, 1), (0, 0, 0)))
+        with pytest.raises(EmptyGraphError, match="no cycle"):
+            solve_dimension(gds)
+
+    def test_members_keep_the_first_cells_self_loop(self, quad, noend, uneven):
+        # f1 fixes the hull's left end, so cell 1's covering map takes it back onto a window
+        # that starts at cut point 0 and holds cell 1: a cycle in E and U1 of every member
+        rng = random.Random(3232)
+        members = [quad, noend, uneven, *(random_member(rng)[0] for _ in range(20))]
+        members += [random_unequal_member(rng) for _ in range(20)]
+        for ifs in members:
+            part = build_partition(ifs, validate(ifs))
+            gds = build_graph(ifs, part)
+            for system in (gds, reduced_system(ifs, part, gds)):
+                assert system.vertices[0].pair_index == 1
+                assert system.counts[0][0] == 1
 
     def test_rejects_non_finite_tol(self, quad, quad_report):
         gds = build_graph(quad, build_partition(quad, quad_report))

@@ -1,11 +1,14 @@
-"""The README's library example runs and prints what its comments say, and its
-CLI section names exactly the parser's commands and flags."""
+"""The README's library example runs and prints what its comments say, its
+CLI section names exactly the parser's commands and flags, and its exit-code
+paragraph names exactly the exported internal errors."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
 
+import overlapifs
+from overlapifs import InternalError
 from overlapifs.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -58,3 +61,16 @@ def test_cli_section_names_the_parsers_commands_and_flags():
     assert len(commands) == 6
     assert set(re.findall(r"^overlapifs ([a-z]+) ", section, re.M)) == commands
     assert flags(section) == set().union(*(flags(usage(command)) for command in commands))
+
+
+def test_exit_codes_name_every_exported_internal_error():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"^Exit codes:(.*?)\n\n", text, re.S | re.M)
+    assert match is not None, "README has no Exit codes paragraph"
+    named = set(re.findall(r"`([A-Za-z]+Error|SearchCapExceeded)`", match.group(1)))
+    exported = {
+        name
+        for name in overlapifs.__all__
+        if isinstance(cls := getattr(overlapifs, name), type) and issubclass(cls, InternalError)
+    }
+    assert named == exported

@@ -123,7 +123,7 @@ class TestTheoremThree:
         self, quad, quad_report, monkeypatch, reduced, full, expected
     ):
         def result(bracket):
-            return DimensionResult(float(sum(bracket) / 2), bracket, 1)
+            return DimensionResult(bracket, 1)
 
         # solve_dimension runs on the full system first, then on the reduced one
         answers = iter([result(full), result(reduced)])
@@ -135,6 +135,50 @@ class TestTheoremThree:
         gap = next(c for c in checks if c.name == "strict dimension gap")
         assert gap.passed == expected
         assert ("<" in gap.detail) == expected
+
+
+class TestFailDetails:
+    """Each harness check that can fail says why, and the harness does not pass."""
+
+    def test_unreachable_target_constructed(self, noend, noend_report, monkeypatch):
+        point = overlapifs.verify.make_witness(noend, noend_report, Cardinality.finite(1))
+        monkeypatch.setattr(overlapifs.verify, "make_witness", lambda *args, **limits: point)
+        result = run_theorem_harness(noend, noend_report, 2, sweep_cap=10)
+        check = next(c for c in result.checks if c.name == "unreachable finite(3)")
+        assert (check.passed, check.detail) == (False, f"unexpectedly constructed {point}")
+        assert result.passed is False
+
+    def test_family_point_misclassified(self, quad, quad_report, monkeypatch):
+        def classify(ifs, points, **limits):
+            return [Cardinality.countable(), Cardinality.finite(1), *classify_many(ifs, points[2:], **limits)]
+
+        monkeypatch.setattr(overlapifs.verify, "classify_many", classify)
+        result = run_theorem_harness(quad, quad_report, 1, finite_upto=1)
+        check = next(c for c in result.checks if c.name == "countable family")
+        second = overlapifs.verify.evaluate(quad, (1, 1), (4,))
+        assert (check.passed, check.detail) == (False, f"depth-2 family point {second} classified finite(1)")
+        assert result.passed is False
+
+    def test_family_points_collide(self, quad, quad_report, monkeypatch):
+        evaluate = overlapifs.verify.evaluate
+        monkeypatch.setattr(overlapifs.verify, "evaluate", lambda ifs, pre, per: evaluate(ifs, pre[:1], per))
+        result = run_theorem_harness(quad, quad_report, 1, finite_upto=1)
+        check = next(c for c in result.checks if c.name == "countable family")
+        assert (check.passed, check.detail) == (False, "family points collided")
+        assert result.passed is False
+
+    def test_sweep_violations_are_listed(self, noend, noend_report, monkeypatch):
+        classify = overlapifs.verify._classify
+
+        def wrong(res):
+            return [Cardinality.finite(3), Cardinality.countable(), *classify(res)[2:]]
+
+        monkeypatch.setattr(overlapifs.verify, "_classify", wrong)
+        result = run_theorem_harness(noend, noend_report, 2, sweep_cap=10)
+        check = next(c for c in result.checks if c.name == "power-of-two dichotomy sweep")
+        assert check.passed is False
+        assert check.detail.endswith("; violations: ['w=();p=(1,) -> finite(3)', 'w=();p=(2,) -> countable']")
+        assert result.passed is False
 
 
 class TestSweep:
