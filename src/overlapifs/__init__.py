@@ -29,8 +29,8 @@ _EXPORTS = {
     "exact": ("AffineMap", "Interval", "format_rational", "parse_rational"),
     "scc": (),  # no public names, but registered like the rest
     "system": (
-        "Condition", "EndCase", "Ifs", "InternalError", "NestedImageError", "OverlapSpec",
-        "SearchCapExceeded", "ValidationReport", "Violation", "end_case", "validate",
+        "Condition", "Ifs", "InternalError", "NestedImageError", "OverlapSpec",
+        "SearchCapExceeded", "ValidationReport", "Violation", "validate",
     ),
     "verify": ("CheckResult", "HarnessResult", "dichotomy_sweep", "run_theorem_harness"),
 }

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .exact import AffineMap, _Value, format_rational, parse_rational
 from .system import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, DEFAULT_TOL, Ifs, InternalError
-from .system import ValidationReport, end_case, validate
+from .system import ValidationReport, validate
 
 # Each command imports the modules it runs (codings, dimension, verify, json)
 # when it runs, so that start-up compiles and executes only those.
@@ -69,13 +69,9 @@ def parse_ifs_file(text: str) -> IfsFile:
         if len(tokens) != 3 or not tokens[1].startswith("r=") or not tokens[2].startswith("b="):
             raise IfsFileError(lineno, "map line must look like 'map r=<rational> b=<rational>'")
         try:
-            ratio = parse_rational(tokens[1][2:])
-            offset = parse_rational(tokens[2][2:])
+            candidate = AffineMap(parse_rational(tokens[1][2:]), parse_rational(tokens[2][2:]))
         except ValueError as exc:
             raise IfsFileError(lineno, str(exc)) from exc
-        if not (0 < ratio < 1):
-            raise IfsFileError(lineno, f"ratio {format_rational(ratio)} outside (0, 1)")
-        candidate = AffineMap(ratio, offset)
         if candidate in maps:
             raise IfsFileError(lineno, "duplicate map")
         maps.append(candidate)
@@ -112,7 +108,7 @@ def _system_section(source: IfsFile, ifs: Ifs) -> dict:
     }
 
 
-def _validation_section(ifs: Ifs, report: ValidationReport) -> dict:
+def _validation_section(report: ValidationReport) -> dict:
     section: dict = {"verdict": "member" if report.member else "violation"}
     if report.member:
         section["overlaps"] = [
@@ -128,11 +124,11 @@ def _validation_section(ifs: Ifs, report: ValidationReport) -> dict:
         section["disjoint_pairs"] = list(report.disjoint_pairs)
         section["u_max"] = report.u_max
         section["v_max"] = report.v_max
-        case = end_case(ifs, report)
+        left, right = report.left_overlaps, report.right_overlaps
         section["case"] = {
-            "tag": case.tag,
-            "left_overlaps": case.left_overlaps,
-            "right_overlaps": case.right_overlaps,
+            "tag": "end-overlap" if left or right else "no-end-overlap",
+            "left_overlaps": left,
+            "right_overlaps": right,
         }
     else:
         assert report.violation is not None
@@ -170,7 +166,7 @@ def _render_text(node, out, indent: int = 0) -> None:
 
 
 def _cmd_validate(args, ifs: Ifs, report: ValidationReport) -> tuple[dict, int]:
-    return {"validation": _validation_section(ifs, report)}, EXIT_OK if report.member else EXIT_NOT_MEMBER
+    return {"validation": _validation_section(report)}, EXIT_OK if report.member else EXIT_NOT_MEMBER
 
 
 def _cell_system(args, ifs: Ifs, report: ValidationReport, reduced: bool = False):

@@ -19,7 +19,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .exact import _Value
-from .system import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, Ifs, InternalError, ValidationReport, end_case
+from .system import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, Ifs, InternalError, ValidationReport
 
 __all__ = [
     "Cardinality",
@@ -76,16 +76,22 @@ class SymbolicPoint(_Value):
 
     @classmethod
     def parse(cls, text: str, ifs: Ifs) -> SymbolicPoint:
-        """Parse the ``w=<digits>;p=<digits>`` form, digits comma-separated."""
+        """Parse ``w=<digits>;p=<digits>``, ASCII digits comma-separated; ``w=`` is the empty word."""
         parts = text.strip().split(";")
         if len(parts) != 2 or not parts[0].startswith("w=") or not parts[1].startswith("p="):
             raise ValueError(f"point must look like 'w=1;p=4', got {text!r}")
         try:
-            pre = tuple(int(tok) for tok in parts[0][2:].split(",") if tok)
-            per = tuple(int(tok) for tok in parts[1][2:].split(",") if tok)
+            pre, per = (tuple(map(_number, part[2:].split(","))) if part[2:] else () for part in parts)
         except ValueError as exc:
             raise ValueError(f"bad digits in point {text!r}") from exc
         return symbolic_point(ifs, pre, per)
+
+
+def _number(token: str) -> int:
+    """A token of ASCII digits as an int; ``int`` alone takes signs, spaces, ``_`` and other digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a number: {token!r}")
+    return int(token)
 
 
 def evaluate(ifs: Ifs, preperiod: Sequence[int], period: Sequence[int]) -> Fraction:
@@ -321,13 +327,13 @@ class Cardinality(_Value):
 
     @classmethod
     def parse(cls, text: str) -> Cardinality:
-        """Read a target: ``finite:<k>`` with k >= 1, ``aleph0`` or ``continuum``."""
+        """Read a target: ``finite:<k>`` with k >= 1 in ASCII digits, ``aleph0`` or ``continuum``."""
         text = text.strip()
         if text in ("aleph0", "continuum"):
             return cls("countable" if text == "aleph0" else text, None, None)
         if text.startswith("finite:"):
             try:
-                return cls.finite(int(text[len("finite:"):]))
+                return cls.finite(_number(text[len("finite:"):]))
             except ValueError as exc:
                 raise ValueError(f"bad finite count in target {text!r}: {exc}") from exc
         raise ValueError(f"bad target {text!r} (want finite:<k>, aleph0 or continuum)")
@@ -559,54 +565,46 @@ def make_witness(
 ) -> SymbolicPoint:
     """Construct a point with the ``target`` number of codings.
 
-    The recipes splice overlap blocks in front of a verified single-coding
-    tail; which recipe applies depends on whether an extreme neighbour pair
-    overlaps. The result is classified before being returned, and a mismatch
-    or a check cut short by a limit raises WitnessVerificationError, so a
-    returned witness is always sound; a finite target whose preperiod has at
-    least ``max_nodes`` digits raises it before the word is built. Impossible targets (countable, or a
-    non power of two, when both extreme pairs are disjoint) raise
-    UnreachableTargetError, and a target that is unknown or finite below 1
-    raises ValueError.
+    The report's end case picks the recipe: blocks of the left end's overlap
+    in front of a verified single-coding tail when ``left_overlaps``, else the
+    right end's, mirrored, when ``right_overlaps``, else blocks of an inner
+    overlap, each doubling the count. The result is classified before being
+    returned, and a mismatch or a check cut short by a limit raises
+    WitnessVerificationError, so a returned witness is always sound; a finite
+    target whose preperiod has at least ``max_nodes`` digits raises it before
+    the word is built. Impossible targets (countable, or a non power of two,
+    when both extreme pairs are disjoint) raise UnreachableTargetError, and a
+    target that is unknown or finite below 1 raises ValueError.
     """
     finite = target.kind == "finite" and (target.count or 0) >= 1 and target.limit is None
     if not finite and target not in (Cardinality.countable(), Cardinality.continuum()):
         raise ValueError(f"bad witness target {target}: want finite(k >= 1), countable or continuum")
     if not report.member:
         raise ValueError("witness construction needs a validated member system")
-    case = end_case(ifs, report)
+    left, right = report.left_overlaps, report.right_overlaps
     m = ifs.m
     tail: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     length = 0  # of the preperiod, where a finite target's can pass max_nodes
 
     if target.kind == "countable":
-        if case.tag == "no-end-overlap":
+        if not (left or right):
             raise UnreachableTargetError(
                 "no point has countably many codings when both extreme pairs are disjoint"
             )
-        if case.left_overlaps:
-            pre: tuple[int, ...] = (1,)
-            per: tuple[int, ...] = (m,)
-        else:
-            pre, per = (m,), (1,)
+        pre, per = ((1,), (m,)) if left else ((m,), (1,))
     elif target.kind == "continuum":
         spec = report.overlaps[0]
         pre, per = (), (spec.index,) + (m,) * spec.u
     else:
         k = target.count
-        if case.tag == "end-overlap":
-            if case.right_overlaps and not case.left_overlaps:
-                spec = report.overlap_at(m - 1)
-                assert spec is not None
-                tail = (2,), (1,)
-                lead, block, s = (m,), (1,), spec.v * (k - 1)
-            else:
-                spec = report.overlap_at(1)
-                assert spec is not None
-                # When both ends overlap, anchor the tail at the smallest disjoint middle pair.
-                first = min(report.disjoint_pairs) if case.right_overlaps else m - 1
-                tail = (first,), (m,)
-                lead, block, s = (1,), (m,), spec.u * (k - 1)
+        if left:
+            # When both ends overlap, anchor the tail at the smallest disjoint middle pair.
+            first = min(report.disjoint_pairs) if right else m - 1
+            tail = (first,), (m,)
+            lead, block, s = (1,), (m,), report.overlap_at(1).u * (k - 1)
+        elif right:
+            tail = (2,), (1,)
+            lead, block, s = (m,), (1,), report.overlap_at(m - 1).v * (k - 1)
         else:
             if k & (k - 1):
                 raise UnreachableTargetError(

@@ -19,7 +19,7 @@ __all__ = [
     "parse_rational",
 ]
 
-_RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$", re.ASCII)
 # Sets a field of a frozen value. Unlike writing ``__dict__``, it keeps the
 # instance's compact attribute layout, so later attribute reads stay fast.
 _setattr = object.__setattr__
@@ -146,7 +146,7 @@ class AffineMap(_Value):
 
     def __init__(self, ratio: Fraction, offset: Fraction) -> None:
         if not (0 < ratio < 1):
-            raise ValueError(f"ratio must lie strictly between 0 and 1, got {ratio}")
+            raise ValueError(f"ratio {format_rational(ratio)} outside (0, 1)")
         _setattr(self, "ratio", ratio)
         _setattr(self, "offset", offset)
 

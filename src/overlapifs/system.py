@@ -23,7 +23,6 @@ __all__ = [
     "DEFAULT_MAX_DEPTH",
     "DEFAULT_MAX_NODES",
     "DEFAULT_TOL",
-    "EndCase",
     "Ifs",
     "InternalError",
     "NestedImageError",
@@ -31,7 +30,6 @@ __all__ = [
     "SearchCapExceeded",
     "ValidationReport",
     "Violation",
-    "end_case",
     "validate",
 ]
 
@@ -175,7 +173,8 @@ class Violation(_Value):
 
 class ValidationReport(_Value):
     """``validate``'s outcome: the first violated condition, or None and a member's overlaps and
-    disjoint pairs. ``member`` and the longest tails ``u_max``, ``v_max`` are derived, not stored."""
+    disjoint pairs. ``member``, the longest tails ``u_max``, ``v_max`` and the end case
+    ``left_overlaps``, ``right_overlaps`` are derived, not stored; a non-member's ends read False."""
 
     violation: Violation | None
     overlaps: tuple[OverlapSpec, ...] = ()
@@ -193,29 +192,17 @@ class ValidationReport(_Value):
     def v_max(self) -> int | None:
         return max((spec.v for spec in self.overlaps), default=None)
 
-    def overlap_at(self, index: int) -> OverlapSpec | None:
-        return next((spec for spec in self.overlaps if spec.index == index), None)
-
-
-class EndCase(_Value):
-    """Which of the two extreme neighbour pairs overlap."""
-
-    left_overlaps: bool
-    right_overlaps: bool
+    @property
+    def left_overlaps(self) -> bool:
+        return self.overlap_at(1) is not None
 
     @property
-    def tag(self) -> str:
-        return "end-overlap" if (self.left_overlaps or self.right_overlaps) else "no-end-overlap"
+    def right_overlaps(self) -> bool:
+        """Of the last pair: a member's m - 1 pairs each overlap or are disjoint, so m - 1 is their count."""
+        return self.overlap_at(len(self.overlaps) + len(self.disjoint_pairs)) is not None
 
-
-def end_case(ifs: Ifs, report: ValidationReport) -> EndCase:
-    """Case split on whether an extreme neighbour pair overlaps."""
-    if not report.member:
-        raise ValueError("end case is only defined for members")
-    return EndCase(
-        left_overlaps=report.overlap_at(1) is not None,
-        right_overlaps=report.overlap_at(ifs.m - 1) is not None,
-    )
+    def overlap_at(self, index: int) -> OverlapSpec | None:
+        return next((spec for spec in self.overlaps if spec.index == index), None)
 
 
 def _overlap_spec(ifs: Ifs, index: int, inter: Interval) -> OverlapSpec | str:

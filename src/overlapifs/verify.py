@@ -29,7 +29,7 @@ from .dimension import (
 )
 from .exact import _Value
 from .system import (
-    DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, DEFAULT_TOL, Ifs, ValidationReport, compose_triples, end_case,
+    DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, DEFAULT_TOL, Ifs, ValidationReport, compose_triples,
 )
 
 __all__ = [
@@ -42,6 +42,13 @@ __all__ = [
 SWEEP_MAX_PREPERIOD = 4
 SWEEP_MAX_PERIOD = 3
 SWEEP_CAP = 5000
+# Each theorem's witness targets in report order, with whether the target is unreachable.
+BATTERY = {
+    1: [*((Cardinality.finite(k), False) for k in range(1, 7)), (Cardinality.countable(), False)],
+    2: [*((Cardinality.finite(k), False) for k in (1, 2, 4, 8, 16)),
+        *((Cardinality.finite(k), True) for k in (3, 5, 6)), (Cardinality.countable(), True)],
+    3: [(Cardinality.continuum(), False)],
+}
 
 MEASURE_NOTE = (
     "the continuum-coding set has the same dimension as the whole attractor, and the "
@@ -160,47 +167,38 @@ def run_theorem_harness(
     ifs: Ifs,
     report: ValidationReport,
     theorem: int,
-    finite_upto: int = 6,
-    power_upto: int = 4,
-    sweep_cap: int = SWEEP_CAP,
     tol: float = DEFAULT_TOL,
     max_nodes: int = DEFAULT_MAX_NODES,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> HarnessResult:
     """Run the battery of checks behind one of the three count/dimension claims.
 
-    ``theorem=1`` targets systems where an extreme neighbour pair overlaps
+    ``theorem=1`` needs the report's ``left_overlaps`` or ``right_overlaps``
     (every finite count occurs, and countably many codings occur);
-    ``theorem=2`` targets systems where both extreme pairs are disjoint
-    (only powers of two occur, countable never does); ``theorem=3`` ties the
-    continuum-coding set to the attractor dimension on any member.
+    ``theorem=2`` needs neither (only powers of two occur, countable never
+    does); ``theorem=3`` ties the continuum-coding set to the attractor
+    dimension on any member. The theorem's ``BATTERY`` of witnesses runs
+    first, in order, then its own check: the countable family, the
+    dichotomy sweep at ``dichotomy_sweep``'s defaults, or the dimension gap.
     """
+    if theorem not in BATTERY:
+        raise ValueError(f"theorem must be 1, 2 or 3, got {theorem}")
     check_tol(tol)
     check_limits(max_nodes, max_depth)
     if not report.member:
         raise ValueError("harness needs a validated member system")
-    limits = {"max_nodes": max_nodes, "max_depth": max_depth}
-    case = end_case(ifs, report)
-    checks: list[CheckResult] = []
-    notes: list[str] = []
-    m = ifs.m
-
-    def check(target: Cardinality, unreachable: bool = False) -> None:
-        checks.append(_witness_check(ifs, report, target, unreachable, limits))
-
-    needs = {1: "end-overlap", 2: "no-end-overlap"}
-    if theorem in needs and case.tag != needs[theorem]:
+    if theorem != 3 and (report.left_overlaps or report.right_overlaps) != (theorem == 1):
         which = "no extreme neighbour pair" if theorem == 1 else "an extreme neighbour pair"
-        checks.append(CheckResult("applicability", False, f"{which} overlaps"))
-        return HarnessResult(theorem, False, checks, notes)
+        checks = [CheckResult("applicability", False, f"{which} overlaps")]
+        return HarnessResult(theorem, False, checks, [])
+    limits = {"max_nodes": max_nodes, "max_depth": max_depth}
+    checks = [_witness_check(ifs, report, t, unreachable, limits) for t, unreachable in BATTERY[theorem]]
+    notes: list[str] = []
 
     if theorem == 1:
-        for k in range(1, finite_upto + 1):
-            check(Cardinality.finite(k))
-        check(Cardinality.countable())
         # A whole family of countable points: push the overlapping end's
         # extreme digit in front of the opposite endpoint's unique word.
-        pre, per = ((1,), (m,)) if case.left_overlaps else ((m,), (1,))
+        pre, per = ((1,), (ifs.m,)) if report.left_overlaps else ((ifs.m,), (1,))
         family = [evaluate(ifs, pre * n, per) for n in range(1, 5)]
         verdicts = classify_many(ifs, family, **limits)
         n = next((n for n, v in enumerate(verdicts) if v != Cardinality.countable()), None)
@@ -213,12 +211,7 @@ def run_theorem_harness(
         checks.append(CheckResult("countable family", ok, detail))
 
     elif theorem == 2:
-        for s in range(power_upto + 1):
-            check(Cardinality.finite(2**s))
-        for k in (3, 5, 6):
-            check(Cardinality.finite(k), unreachable=True)
-        check(Cardinality.countable(), unreachable=True)
-        sweep = dichotomy_sweep(ifs, cap=sweep_cap, max_nodes=max_nodes, max_depth=max_depth)
+        sweep = dichotomy_sweep(ifs, max_nodes=max_nodes, max_depth=max_depth)
         ok = not sweep["violations"] and not sweep["limits"]
         detail = (
             f"{sweep['classified']} points: {sweep['tally']}, "
@@ -231,8 +224,7 @@ def run_theorem_harness(
             detail += f"; violations: {sweep['violations'][:5]}"
         checks.append(CheckResult("power-of-two dichotomy sweep", ok, detail))
 
-    elif theorem == 3:
-        check(Cardinality.continuum())
+    else:
         part = build_partition(ifs, report)
         gds = build_graph(ifs, part)
         full = solve_dimension(gds, tol)
@@ -242,8 +234,5 @@ def run_theorem_harness(
         detail = f"single-coding bound {reduced.value:.9f} {relation} attractor {full.value:.9f}"
         checks.append(CheckResult("strict dimension gap", gap, detail))
         notes += [MEASURE_NOTE, PER_K_NOTE]
-
-    else:
-        raise ValueError(f"theorem must be 1, 2 or 3, got {theorem}")
 
     return HarnessResult(theorem, True, checks, notes)

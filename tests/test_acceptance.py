@@ -162,7 +162,7 @@ def test_criterion_5b_prefixes_as_pinned(quad):
 
 def test_criterion_6_theorem_1_harness(quad, quad_report):
     with Timer() as t:
-        result = run_theorem_harness(quad, quad_report, 1, finite_upto=6)
+        result = run_theorem_harness(quad, quad_report, 1)
     failures = [c.name for c in result.checks if not c.passed]
     ok = result.passed and not failures and t.elapsed < 5.0
     report(
@@ -174,7 +174,7 @@ def test_criterion_6_theorem_1_harness(quad, quad_report):
 
 def test_criterion_7_theorem_2_harness(noend, noend_report):
     with Timer() as t:
-        result = run_theorem_harness(noend, noend_report, 2, power_upto=4, sweep_cap=5000)
+        result = run_theorem_harness(noend, noend_report, 2)
     failures = [c.name for c in result.checks if not c.passed]
     sweep = next(c for c in result.checks if "sweep" in c.name)
     ok = result.passed and not failures and t.elapsed < 30.0

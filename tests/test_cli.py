@@ -148,6 +148,13 @@ class TestValidateCommand:
         assert code == 3
         assert "error" in text
 
+    def test_non_ascii_digits_exit_three(self, tmp_path):
+        # int() and a bare \d read Arabic-Indic digits; the grammar takes ASCII only
+        path = tmp_path / "arabic.ifs"
+        path.write_text("map r=\u0661/\u0665 b=0\nmap r=1/5 b=4/5\n", encoding="utf-8")
+        code, text = run(["validate", str(path)])
+        assert (code, text) == (3, "error: line 1: not a rational: '\u0661/\u0665'\n")
+
     def test_missing_file_exits_three(self):
         code, _ = run(["validate", "/nonexistent/x.ifs"])
         assert code == 3

@@ -94,7 +94,14 @@ class TestEvaluate:
         q = SymbolicPoint.parse("w=;p=1,4", quad)
         assert q.value == F(1, 6)
 
-    @pytest.mark.parametrize("text", ["", "w=1", "p=4;w=1", "w=1;p=", "w=a;p=4", "w=1;p=4;x=2"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "w=1", "p=4;w=1", "w=1;p=", "w=a;p=4", "w=1;p=4;x=2",
+            # an empty token inside a word, or a token int() reads but that is not ASCII digits
+            "w=1,;p=4", "w=1,,2;p=1", "w=;p=,4", "w=+1;p=4", "w=1_0;p=4", "w= 1;p=4", "w=١;p=4",
+        ],
+    )
     def test_parse_rejects(self, text, quad):
         with pytest.raises(ValueError):
             SymbolicPoint.parse(text, quad)
@@ -894,7 +901,7 @@ class TestWitnesses:
             assert Cardinality.parse(text) == target, text
         invalid = [
             "finite:zero", "finite:0", "finite:-2", "finite:", "finite", "unknown",
-            "countable", "aleph", "", "  ",
+            "countable", "aleph", "", "  ", "finite:3_0", "finite:+3", "finite: 3", "finite:٣",
         ]
         for text in invalid:
             with pytest.raises(ValueError):

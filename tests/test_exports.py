@@ -1,5 +1,6 @@
-"""Every exported name resolves, the package exports only listed names, and
-every public function is read by the program or pinned by the benchmark.
+"""Every exported name resolves, the package exports only listed names, every
+public function is read by the program or pinned by the benchmark, and every
+defaulted public parameter is passed by some call or listed with its reason.
 
 A deleted class can otherwise leave a stale name in a module's ``__all__``
 (``from module import *`` then fails) or in the package's name table, which
@@ -95,3 +96,54 @@ def test_every_public_function_is_read_or_traced():
         for part in node.value.split(".")
     }
     assert [name for name in UNREAD_BUT_TRACED if name.rsplit(".", 1)[1] not in traced] == []
+
+
+# Defaulted public parameters that no call in the program or the benchmark
+# passes, and why each stays.
+UNPASSED_DEFAULTS = {
+    # the tests check the canonical-word filter at the shapes where each rule fires
+    "dichotomy_sweep.max_preperiod",
+    "dichotomy_sweep.max_period",
+    "dichotomy_sweep.cap",
+    # the limits of the graph-less path; every call passes ``graph``, the benchmark's by keyword
+    "enumerate_codings.max_nodes",
+    "enumerate_codings.max_depth",
+    # no program module calls spectral_radius; the benchmark's tracer wraps it by name
+    "spectral_radius.tol",
+}
+
+
+def _defaulted_parameters(body, in_class=False):
+    """(function, parameter, position) of each defaulted parameter of a public function
+    or method, the position counted without ``self`` or ``cls`` (None for keyword-only)."""
+    for node in body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from _defaulted_parameters(node.body, True)
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            positional = [*node.args.posonlyargs, *node.args.args][in_class and not static:]
+            first = len(positional) - len(node.args.defaults)
+            for position, arg in enumerate(positional[first:], first):
+                yield node.name, arg.arg, position
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_passed():
+    program = [ast.parse(path.read_text(encoding="utf-8")) for path in INIT.parent.glob("*.py")]
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in TRACING.parent.glob("*.py")]
+    passed: dict[str, set] = {}  # by bare function name: positions, keywords, and "**" for a mapping
+    for node in (node for tree in program + bench for node in ast.walk(tree)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            seen = passed.setdefault(name, set())
+            seen.update(range(sum(not isinstance(arg, ast.Starred) for arg in node.args)))
+            seen.update(keyword.arg or "**" for keyword in node.keywords)
+    unpassed = {
+        f"{function}.{parameter}"
+        for tree in program
+        for function, parameter, position in _defaulted_parameters(tree.body)
+        if not passed.get(function, set()) & {parameter, position, "**"}
+    }
+    assert unpassed == UNPASSED_DEFAULTS, "drop a parameter that only tests set, or list why it stays"

@@ -13,6 +13,7 @@ from conftest import (
     member_instances,
     noend_maps,
     quad_maps,
+    random_member,
     random_unequal_member,
     uneven_maps,
 )
@@ -23,7 +24,6 @@ from overlapifs import (
     Interval,
     NestedImageError,
     Violation,
-    end_case,
     evaluate,
     validate,
 )
@@ -373,25 +373,33 @@ class TestOverlapParameters:
 
 
 class TestEndCase:
-    def test_quad_both_ends(self, quad, quad_report):
-        case = end_case(quad, quad_report)
-        assert case.tag == "end-overlap"
-        assert case.left_overlaps and case.right_overlaps
+    def test_quad_both_ends(self, quad_report):
+        assert quad_report.left_overlaps and quad_report.right_overlaps
 
-    def test_noend(self, noend, noend_report):
-        case = end_case(noend, noend_report)
-        assert case.tag == "no-end-overlap"
-        assert not case.left_overlaps and not case.right_overlaps
+    def test_noend(self, noend_report):
+        assert not noend_report.left_overlaps and not noend_report.right_overlaps
 
-    def test_uneven_left_only(self, uneven, uneven_report):
-        case = end_case(uneven, uneven_report)
-        assert case.tag == "end-overlap"
-        assert case.left_overlaps and not case.right_overlaps
+    def test_uneven_left_only(self, uneven_report):
+        assert uneven_report.left_overlaps and not uneven_report.right_overlaps
 
-    def test_requires_member(self, quad):
+    def test_non_member_reads_no_overlap(self):
         bad = validate(Ifs.from_maps([AffineMap(F(1, 5), F(0)), AffineMap(F(1, 5), F(4, 5))]))
-        with pytest.raises(ValueError):
-            end_case(quad, bad)
+        assert not bad.member
+        assert (bad.left_overlaps, bad.right_overlaps) == (False, False)
+
+    def test_census_matches_the_extreme_pairs(self, quad, noend, uneven, uneven_mirror):
+        # the derived right end is pair m - 1, whatever the mix of overlaps and gaps
+        rng = random.Random(20240901)
+        systems = [quad, noend, uneven, uneven_mirror, *(random_member(rng)[0] for _ in range(40))]
+        systems += [random_unequal_member(rng) for _ in range(10)]
+        patterns = set()
+        for ifs in systems:
+            report = validate(ifs)
+            assert report.member, report.violation
+            ends = (report.overlap_at(1) is not None, report.overlap_at(ifs.m - 1) is not None)
+            assert (report.left_overlaps, report.right_overlaps) == ends
+            patterns.add(ends)
+        assert patterns == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestRandomInstances:

@@ -33,7 +33,7 @@ from overlapifs import (
 
 class TestTheoremOne:
     def test_quad_passes(self, quad, quad_report):
-        result = run_theorem_harness(quad, quad_report, 1, finite_upto=4)
+        result = run_theorem_harness(quad, quad_report, 1)
         assert result.applicable
         assert result.passed
         names = [c.name for c in result.checks]
@@ -42,7 +42,7 @@ class TestTheoremOne:
         assert "countable family" in names
 
     def test_uneven_passes(self, uneven, uneven_report):
-        result = run_theorem_harness(uneven, uneven_report, 1, finite_upto=3)
+        result = run_theorem_harness(uneven, uneven_report, 1)
         assert result.passed
 
     def test_inapplicable_on_noend(self, noend, noend_report):
@@ -53,7 +53,7 @@ class TestTheoremOne:
 
 class TestTheoremTwo:
     def test_noend_small_sweep_passes(self, noend, noend_report):
-        result = run_theorem_harness(noend, noend_report, 2, power_upto=3, sweep_cap=400)
+        result = run_theorem_harness(noend, noend_report, 2)
         assert result.applicable
         assert result.passed, [c for c in result.checks if not c.passed]
         sweep_check = next(c for c in result.checks if "sweep" in c.name)
@@ -71,7 +71,7 @@ class TestTheoremTwo:
     def test_sweep_fails_on_undecided_points(self, noend, noend_report, limits, unknown):
         # no sampled verdict breaks the dichotomy, but most are unknown: the
         # check fails and names the limit, its value and its flag
-        result = run_theorem_harness(noend, noend_report, 2, power_upto=0, **limits)
+        result = run_theorem_harness(noend, noend_report, 2, **limits)
         check = next(c for c in result.checks if c.name == "power-of-two dichotomy sweep")
         assert not check.passed and not result.passed
         assert f"'unknown': {unknown}}}" in check.detail
@@ -84,9 +84,7 @@ class TestTheoremTwo:
     def test_sweep_names_each_limit_hit(self, noend, noend_report):
         sweep = dichotomy_sweep(noend, cap=400, max_nodes=3, max_depth=2)
         assert sweep["limits"] == ["max_depth", "max_nodes"]
-        result = run_theorem_harness(
-            noend, noend_report, 2, power_upto=0, sweep_cap=400, max_nodes=3, max_depth=2
-        )
+        result = run_theorem_harness(noend, noend_report, 2, max_nodes=3, max_depth=2)
         check = next(c for c in result.checks if c.name == "power-of-two dichotomy sweep")
         assert not check.passed
         assert check.detail.endswith(
@@ -143,7 +141,7 @@ class TestFailDetails:
     def test_unreachable_target_constructed(self, noend, noend_report, monkeypatch):
         point = overlapifs.verify.make_witness(noend, noend_report, Cardinality.finite(1))
         monkeypatch.setattr(overlapifs.verify, "make_witness", lambda *args, **limits: point)
-        result = run_theorem_harness(noend, noend_report, 2, sweep_cap=10)
+        result = run_theorem_harness(noend, noend_report, 2)
         check = next(c for c in result.checks if c.name == "unreachable finite(3)")
         assert (check.passed, check.detail) == (False, f"unexpectedly constructed {point}")
         assert result.passed is False
@@ -153,7 +151,7 @@ class TestFailDetails:
             return [Cardinality.countable(), Cardinality.finite(1), *classify_many(ifs, points[2:], **limits)]
 
         monkeypatch.setattr(overlapifs.verify, "classify_many", classify)
-        result = run_theorem_harness(quad, quad_report, 1, finite_upto=1)
+        result = run_theorem_harness(quad, quad_report, 1)
         check = next(c for c in result.checks if c.name == "countable family")
         second = overlapifs.verify.evaluate(quad, (1, 1), (4,))
         assert (check.passed, check.detail) == (False, f"depth-2 family point {second} classified finite(1)")
@@ -162,7 +160,7 @@ class TestFailDetails:
     def test_family_points_collide(self, quad, quad_report, monkeypatch):
         evaluate = overlapifs.verify.evaluate
         monkeypatch.setattr(overlapifs.verify, "evaluate", lambda ifs, pre, per: evaluate(ifs, pre[:1], per))
-        result = run_theorem_harness(quad, quad_report, 1, finite_upto=1)
+        result = run_theorem_harness(quad, quad_report, 1)
         check = next(c for c in result.checks if c.name == "countable family")
         assert (check.passed, check.detail) == (False, "family points collided")
         assert result.passed is False
@@ -174,7 +172,7 @@ class TestFailDetails:
             return [Cardinality.finite(3), Cardinality.countable(), *classify(res)[2:]]
 
         monkeypatch.setattr(overlapifs.verify, "_classify", wrong)
-        result = run_theorem_harness(noend, noend_report, 2, sweep_cap=10)
+        result = run_theorem_harness(noend, noend_report, 2)
         check = next(c for c in result.checks if c.name == "power-of-two dichotomy sweep")
         assert check.passed is False
         assert check.detail.endswith("; violations: ['w=();p=(1,) -> finite(3)', 'w=();p=(2,) -> countable']")
@@ -217,13 +215,10 @@ class TestSweep:
         sweep = dichotomy_sweep(noend, max_preperiod=3, max_period=2, cap=50)
         assert sweep["classified"] == 50
 
-    def test_cap_zero_classifies_nothing(self, noend, noend_report):
+    def test_cap_zero_classifies_nothing(self, noend):
         sweep = dichotomy_sweep(noend, cap=0)
         assert sweep["classified"] == 0 and sweep_words(noend, cap=0) == {}
         assert sweep["tally"] == {"finite": 0, "countable": 0, "continuum": 0, "unknown": 0}
-        result = run_theorem_harness(noend, noend_report, 2, power_upto=0, sweep_cap=0)
-        check = next(c for c in result.checks if c.name == "power-of-two dichotomy sweep")
-        assert check.passed and check.detail.startswith("0 points")
 
     @pytest.mark.parametrize("cap", [-1, -5])
     def test_negative_cap_raises(self, noend, cap):
@@ -414,5 +409,9 @@ class TestValidation:
             run_theorem_harness(quad, quad_report, theorem, tol=tol)
 
     def test_rejects_bad_theorem_number(self, quad, quad_report):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="theorem must be 1, 2 or 3, got 4"):
             run_theorem_harness(quad, quad_report, 4)
+        # checked first: a non-member report meets the theorem error, not the member one
+        bad = validate(Ifs.from_maps([AffineMap(F(1, 5), F(0)), AffineMap(F(1, 5), F(4, 5))]))
+        with pytest.raises(ValueError, match="theorem must be 1, 2 or 3, got 4"):
+            run_theorem_harness(quad, bad, 4)
